@@ -28,7 +28,7 @@ import numpy as np
 
 from .numerics import adaptive_simpson, bisect_root, bracket_first_sign_change
 from .propagator import ChainSpec, SpectralAlpha
-from .series import DEFAULT_ORDER, build_series, evaluate_series
+from .series import DEFAULT_ORDER, build_series, evaluate_series, horner
 
 WITNESS_THRESHOLD = 1.0
 CROSSING_XTOL = 1e-9
@@ -169,11 +169,7 @@ def inflection_point(
     ]
 
     def d2(x: float) -> float:
-        u = x * x
-        acc = 0.0
-        for c in reversed(second):
-            acc = acc * u + c
-        return acc
+        return horner(second, x * x)
 
     bracket = bracket_first_sign_change(d2, 1e-6, INFLECTION_WINDOW)
     if bracket is None:

@@ -17,56 +17,56 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .channels import chi_scan, magnetized_bloch_trace, recurrence_demo, singlet_witness
+from .channels import (DEFAULT_QUAD_TOL, chi_scan, magnetized_bloch_trace, recurrence_demo,
+                       singlet_witness)
 from .closed_forms import alpha_closed, classify_couplings
-from .propagator import ChainSpec, SpectralAlpha, choose_chain_length, truncation_gap
-from .series import alpha_z, build_series, evaluate_series
+from .propagator import (DEFAULT_TRUNCATION_TOL, MATRIX, METHODS, SERIES, ChainSpec,
+                         SpectralAlpha, choose_chain_length, truncation_gap)
+from .series import DEFAULT_ORDER, alpha_z, build_series, evaluate_series
 from .svg_plot import emit_plot
 from .walks import WalkTable
 
 GENERATED_BY = f"# generated-by: spinwire {__version__}"
-
-DEFAULTS: dict[str, dict[str, object]] = {
-    "walks": {"n_max": 12},
-    "alpha": {
-        "method": "matrix",
-        "k0": 1.0,
-        "k": 1.0,
-        "tmax": 10.0,
-        "steps": 1000,
-        "order": 20,
-        "n_sites": None,
-        "tol": 1e-10,
-    },
-    "chi-scan": {"ratios": None, "order": 20, "quad_tol": 1e-10},
-    "bloch": {"k0": math.sqrt(2.0), "k": 1.0, "tmax": 10.0, "steps": 1000, "tol": 1e-10},
-    "witness": {
-        "k0a": 1.0,
-        "ka": 1.0,
-        "k0b": 1.0,
-        "kb": 1.0,
-        "tmax": 10.0,
-        "steps": 2000,
-        "tol": 1e-10,
-    },
-    "recurrence": {
-        "freqs": (1.0, math.pi),
-        "threshold": 0.9,
-        "tmax": 500.0,
-        "steps": 500001,
-    },
-}
+FLOAT_FORMAT = "%.17g"
 
 
-def fmt(x: float) -> str:
-    return "%.17g" % float(x)
+class Param(NamedTuple):
+    """One subcommand parameter, the only place its flag, type, default,
+    bounds and help are declared.
+
+    ``type`` is int, float, str, :func:`floats` or a tuple of allowed
+    strings.  ``bounds`` is an interval such as "(0, 0.999]" that a
+    number, or every element of a list, must lie in; ``count`` is the
+    interval for the length of a list.  A None default lets the parameter
+    stay unset, except for a list.
+    """
+
+    name: str
+    type: object
+    default: object
+    bounds: str | None
+    help: str
+    count: str = "[1, inf)"
+    even: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
+def _within(interval: str, x: float) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < x if interval[0] == "(" else lo <= x
+    return above and (x < hi if interval[-1] == ")" else x <= hi)
+
+
+def floats(text) -> tuple[float, ...]:
+    """Comma-separated floats, or a list of numbers from a config file."""
     if isinstance(text, (list, tuple)):
         return tuple(float(v) for v in text)
     return tuple(float(part) for part in str(text).split(",") if part.strip())
@@ -80,62 +80,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"spinwire {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, plot: bool = True) -> None:
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        if plot:
-            p.add_argument("--plot", help="also write an SVG line plot here")
+    for command, (summary, _, table) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for param in table:
+            choices = isinstance(param.type, tuple)
+            kind = {"choices": param.type} if choices else {"type": param.type}
+            p.add_argument(param.flag, dest=param.name, help=param.help, **kind)
         p.add_argument("--config", help="JSON file whose keys mirror flags; flags win")
-
-    p = sub.add_parser("walks", help="table of origin-returning walk counts")
-    p.add_argument("--n-max", dest="n_max", type=int, help="largest (even) step count")
-    add_common(p, plot=False)
-
-    p = sub.add_parser("alpha", help="auto-fidelity alpha0 on a time grid")
-    p.add_argument("--method", choices=("series", "matrix", "closed"))
-    p.add_argument("--k0", type=float, help="plug coupling")
-    p.add_argument("--k", type=float, help="wire coupling")
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int, help="number of samples, t=0 included")
-    p.add_argument("--order", type=int, help="series truncation order (series method)")
-    p.add_argument("--n-sites", dest="n_sites", type=int, help="chain length (matrix method)")
-    p.add_argument("--tol", type=float, help="truncation certification tolerance (matrix)")
-    add_common(p)
-
-    p = sub.add_parser("chi-scan", help="exponentiality metric over coupling ratios")
-    p.add_argument("--ratios", help="comma-separated K/K0 values")
-    p.add_argument("--order", type=int)
-    p.add_argument("--quad-tol", dest="quad_tol", type=float)
-    add_common(p)
-
-    p = sub.add_parser("bloch", help="Bloch length against a magnetized chain")
-    for flag in ("--k0", "--k", "--tmax", "--tol"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--steps", type=int)
-    add_common(p)
-
-    p = sub.add_parser("witness", help="two-qubit singlet witness trace")
-    for flag in ("--k0a", "--ka", "--k0b", "--kb", "--tmax", "--tol"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--steps", type=int)
-    add_common(p)
-
-    p = sub.add_parser("recurrence", help="finite-frequency survival probability")
-    p.add_argument("--freqs", help="comma-separated angular frequencies (2 to 8)")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int)
-    add_common(p)
-
     return parser
 
 
 def resolve_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over built-in defaults."""
-    defaults = DEFAULTS[args.command]
-    io_keys = ("out",) if args.command == "walks" else ("out", "plot")
+    _, _, table = COMMANDS[args.command]
     config: dict[str, object] = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 config = json.load(handle)
@@ -143,223 +102,205 @@ def resolve_params(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(f"cannot read config {args.config}: {exc}")
         if not isinstance(config, dict):
             parser.error(f"config {args.config} must hold a JSON object")
-        unknown = set(config) - set(defaults) - set(io_keys)
+        unknown = set(config) - {param.name for param in table}
         if unknown:
             parser.error(f"unknown config keys for {args.command}: {sorted(unknown)}")
 
     params: dict[str, object] = {}
-    for key, built_in in defaults.items():
-        flag_value = getattr(args, key, None)
-        params[key] = flag_value if flag_value is not None else config.get(key, built_in)
-    for key in io_keys:
-        flag_value = getattr(args, key, None)
-        params[key] = flag_value if flag_value is not None else config.get(key)
-
-    _validate(parser, args.command, params)
+    for param in table:
+        value = getattr(args, param.name)
+        if value is None:
+            value = config.get(param.name, param.default)
+        try:
+            params[param.name] = _check(param, value)
+        except ValueError as exc:
+            parser.error(f"{args.command}: {param.flag} {exc}")
     return params
 
 
-def _validate(parser: argparse.ArgumentParser, command: str, params: dict) -> None:
-    def fail(message: str) -> None:
-        parser.error(f"{command}: {message}")
-
-    def check_float(name, *, lo=None, lo_strict=None, hi=None) -> float:
-        try:
-            value = float(params[name])
-        except (TypeError, ValueError):
-            fail(f"--{name.replace('_', '-')} must be a number")
-        if not math.isfinite(value):
-            fail(f"--{name.replace('_', '-')} must be finite")
-        if lo is not None and value < lo:
-            fail(f"--{name.replace('_', '-')} must be >= {lo}")
-        if lo_strict is not None and value <= lo_strict:
-            fail(f"--{name.replace('_', '-')} must be > {lo_strict}")
-        if hi is not None and value > hi:
-            fail(f"--{name.replace('_', '-')} must be <= {hi}")
-        params[name] = value
+def _check(param: Param, value):
+    """value converted to the parameter's type; ValueError names the broken rule."""
+    if value is None and param.default is None:
+        if param.type is floats:
+            raise ValueError("is required")
+        return None
+    if isinstance(param.type, tuple):
+        if value not in param.type:
+            raise ValueError(f"must be one of {', '.join(param.type)}")
         return value
-
-    def check_int(name, lo) -> int:
-        value = params[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < lo:
-            fail(f"--{name.replace('_', '-')} must be an integer >= {lo}")
+    if param.type is str:
+        if not isinstance(value, str):
+            raise ValueError("must be a string")
         return value
-
-    if command == "walks":
-        n_max = check_int("n_max", 2)
-        if n_max % 2:
-            fail("--n-max must be even")
-    elif command == "alpha":
-        if params["method"] not in ("series", "matrix", "closed"):
-            fail("--method must be series, matrix, or closed")
-        check_float("k0", lo=0.0)
-        check_float("k", lo=0.0)
-        check_float("tmax", lo=0.0)
-        check_int("steps", 1)
-        check_int("order", 2)
-        if params["n_sites"] is not None:
-            check_int("n_sites", 2)
-        check_float("tol", lo_strict=0.0, hi=0.999)
-    elif command == "chi-scan":
-        if params["ratios"] is None:
-            fail("--ratios is required")
+    if param.type is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError("must be an integer")
+        numbers = (value,)
+    else:
         try:
-            ratios = _parse_float_list(params["ratios"])
-        except ValueError:
-            fail("--ratios must be comma-separated numbers")
-        if not ratios or any(r <= 0 or not math.isfinite(r) for r in ratios):
-            fail("--ratios must be positive numbers")
-        params["ratios"] = ratios
-        check_int("order", 2)
-        check_float("quad_tol", lo_strict=0.0)
-    elif command == "bloch":
-        check_float("k0", lo=0.0)
-        check_float("k", lo=0.0)
-        check_float("tmax", lo=0.0)
-        check_int("steps", 1)
-        check_float("tol", lo_strict=0.0, hi=0.999)
-    elif command == "witness":
-        for name in ("k0a", "ka", "k0b", "kb"):
-            check_float(name, lo=0.0)
-        check_float("tmax", lo_strict=0.0)
-        check_int("steps", 2)
-        check_float("tol", lo_strict=0.0, hi=0.999)
-    elif command == "recurrence":
-        try:
-            freqs = _parse_float_list(params["freqs"])
-        except ValueError:
-            fail("--freqs must be comma-separated numbers")
-        if not 2 <= len(freqs) <= 8:
-            fail("--freqs needs between 2 and 8 values")
-        params["freqs"] = freqs
-        check_float("threshold", lo_strict=0.0, hi=1.0)
-        check_float("tmax", lo_strict=0.0)
-        check_int("steps", 2)
+            numbers = floats(value) if param.type is floats else (float(value),)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("must be a number") from None
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("must be finite")
+    if not _within(param.count, len(numbers)):
+        raise ValueError(f"needs a number of values in {param.count}")
+    if param.bounds and not all(_within(param.bounds, x) for x in numbers):
+        raise ValueError(f"must be in {param.bounds}")
+    if param.even and value % 2:
+        raise ValueError("must be even")
+    return numbers if param.type is floats else numbers[0]
 
 
 # ---------------------------------------------------------------------------
 # Subcommand runners: each returns (csv text, sidecar dict or None, plot spec)
 # ---------------------------------------------------------------------------
 
-def _grid(tmax: float, steps: int) -> np.ndarray:
-    return np.linspace(0.0, tmax, steps)
+def _csv(header: str, columns, comments=(), spec: str = FLOAT_FORMAT) -> str:
+    """Generated-by line, comment lines, header, then one row per sample."""
+    row = ",".join([spec] * len(columns))
+    # Only arrays go through .tolist(): numpy makes floats of ints past 2**63.
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return "\n".join([GENERATED_BY, *comments, header, *map(row.__mod__, rows)]) + "\n"
+
+
+def _chain_length(k0: float, k: float, tmax: float, tol: float) -> int:
+    """Certified chain length for a run to tmax; a run that stays at t=0 gets 2 sites."""
+    return choose_chain_length(k, tmax, tol, k0=k0) if tmax > 0 else 2
 
 
 def _run_walks(params):
     table = WalkTable.build(params["n_max"])
-    lines = [GENERATED_BY, "n,k,count"]
-    for (n, k), count in sorted(table.entries.items()):
-        lines.append(f"{n},{k},{count}")
-    return "\n".join(lines) + "\n", None, None
-
-
-def _certified_matrix(k0, k, tmax, steps, tol, n_sites):
-    """Spectral alpha trace plus an honest truncation gap for the CSV."""
-    if tmax <= 0:
-        spec = ChainSpec(k0, k, n_sites or 2)
-        return spec, np.ones(steps), 0.0, n_sites is None
-    auto = n_sites is None
-    n = choose_chain_length(k, tmax, tol, k0=k0) if auto else n_sites
-    spec = ChainSpec(k0, k, n)
-    values = SpectralAlpha(spec)(_grid(tmax, steps))
-    return spec, values, truncation_gap(spec, tmax), auto
+    rows = [(n, k, count) for (n, k), count in sorted(table.entries.items())]
+    return _csv("n,k,count", list(zip(*rows)), spec="%d"), None, None
 
 
 def _run_alpha(params):
     method, k0, k = params["method"], params["k0"], params["k"]
     tmax, steps = params["tmax"], params["steps"]
-    times = _grid(tmax, steps)
-    lines = [GENERATED_BY]
+    times = np.linspace(0.0, tmax, steps)
+    comments = []
 
-    if method == "series":
+    if method == SERIES:
         coeffs = build_series(Fraction(k0) ** 2, Fraction(k) ** 2, params["order"])
-        rows = []
-        for t in times:
-            value, err = evaluate_series(coeffs, float(t))
-            rows.append((t, value, alpha_z(value), err))
-    elif method == "matrix":
-        spec, values, gap, auto = _certified_matrix(
-            k0, k, tmax, steps, params["tol"], params["n_sites"]
-        )
-        if auto:
-            lines.append(f"# n_sites={spec.n_sites}")
-        rows = [(t, v, alpha_z(v), gap) for t, v in zip(times, values)]
+        values, errors = zip(*(evaluate_series(coeffs, t) for t in times.tolist()))
+    elif method == MATRIX:
+        n_sites = params["n_sites"]
+        if n_sites is None:
+            n_sites = _chain_length(k0, k, tmax, params["tol"])
+            comments.append(f"# n_sites={n_sites}")
+        spec = ChainSpec(k0, k, n_sites)
+        if tmax > 0:
+            values, gap = SpectralAlpha(spec)(times), truncation_gap(spec, tmax)
+        else:
+            values, gap = np.ones(steps), 0.0
+        errors = np.full(steps, gap)
     else:
         case = classify_couplings(k0, k)
-        rows = []
-        for t in times:
-            value = alpha_closed(case, float(t))
-            rows.append((t, value, alpha_z(value), 0.0))
+        values = [alpha_closed(case, t) for t in times.tolist()]
+        errors = np.zeros(steps)
 
-    lines.append("t,alpha0,alphaZ,error_estimate")
-    lines.extend(",".join(fmt(x) for x in row) for row in rows)
-    plot = (times, [row[1] for row in rows], "t", "alpha0", f"alpha0, method={method}")
-    return "\n".join(lines) + "\n", None, plot
+    values = np.asarray(values)
+    columns = [times, values, alpha_z(values), errors]
+    plot = (times, values, "t", "alpha0", f"alpha0, method={method}")
+    return _csv("t,alpha0,alphaZ,error_estimate", columns, comments), None, plot
 
 
 def _run_chi_scan(params):
     scan = chi_scan(params["ratios"], params["order"], params["quad_tol"])
-    lines = [GENERATED_BY, "ratio,chi,log_chi"]
     log_chi = [math.log(c) if c > 0 else -math.inf for c in scan.chi]
-    for r, c, lc in zip(scan.ratios, scan.chi, log_chi):
-        lines.append(f"{fmt(r)},{fmt(c)},{fmt(lc)}")
     plot = (scan.ratios, log_chi, "K/K0", "log chi", "exponentiality metric")
-    return "\n".join(lines) + "\n", None, plot
+    return _csv("ratio,chi,log_chi", [scan.ratios, scan.chi, log_chi]), None, plot
 
 
 def _run_bloch(params):
-    k0, k, tmax, steps = params["k0"], params["k"], params["tmax"], params["steps"]
-    if tmax > 0:
-        n = choose_chain_length(k, tmax, params["tol"], k0=k0)
-    else:
-        n = 2
-    pairs = magnetized_bloch_trace(ChainSpec(k0, k, n), _grid(tmax, steps))
-    lines = [GENERATED_BY, f"# n_sites={n}", "t,v_sq"]
-    lines.extend(f"{fmt(t)},{fmt(v)}" for t, v in pairs)
-    plot = ([t for t, _ in pairs], [v for _, v in pairs], "t", "v^2", "Bloch length, magnetized chain")
-    return "\n".join(lines) + "\n", None, plot
+    k0, k, tmax = params["k0"], params["k"], params["tmax"]
+    n = _chain_length(k0, k, tmax, params["tol"])
+    pairs = magnetized_bloch_trace(ChainSpec(k0, k, n), np.linspace(0.0, tmax, params["steps"]))
+    times, v_sq = zip(*pairs)
+    plot = (times, v_sq, "t", "v^2", "Bloch length, magnetized chain")
+    return _csv("t,v_sq", [times, v_sq], [f"# n_sites={n}"]), None, plot
 
 
 def _run_witness(params):
-    tmax, steps, tol = params["tmax"], params["steps"], params["tol"]
-    spec_a = ChainSpec(
-        params["k0a"], params["ka"], choose_chain_length(params["ka"], tmax, tol, k0=params["k0a"])
+    tmax, tol = params["tmax"], params["tol"]
+    spec_a, spec_b = (
+        ChainSpec(params[k0], params[k], _chain_length(params[k0], params[k], tmax, tol))
+        for k0, k in (("k0a", "ka"), ("k0b", "kb"))
     )
-    spec_b = ChainSpec(
-        params["k0b"], params["kb"], choose_chain_length(params["kb"], tmax, tol, k0=params["k0b"])
-    )
-    trace = singlet_witness(spec_a, spec_b, _grid(tmax, steps))
-    lines = [GENERATED_BY, "t,witness"]
-    lines.extend(f"{fmt(t)},{fmt(w)}" for t, w in zip(trace.times, trace.witness))
+    trace = singlet_witness(spec_a, spec_b, np.linspace(0.0, tmax, params["steps"]))
     sidecar = {
         "death_time": trace.death_time,
         "rebirth_times": list(trace.rebirth_times),
         "intervals": [list(pair) for pair in trace.entangled_intervals],
     }
     plot = (trace.times, trace.witness, "t", "witness", "singlet correlation witness")
-    return "\n".join(lines) + "\n", sidecar, plot
+    return _csv("t,witness", [trace.times, trace.witness]), sidecar, plot
 
 
 def _run_recurrence(params):
-    times = _grid(params["tmax"], params["steps"])
+    times = np.linspace(0.0, params["tmax"], params["steps"])
     values, first = recurrence_demo(params["freqs"], times, params["threshold"])
-    lines = [GENERATED_BY]
-    if first is not None:
-        lines.append(f"# first_exceedance={fmt(first)}")
-    lines.append("t,p")
-    lines.extend(f"{fmt(t)},{fmt(p)}" for t, p in zip(times, values))
+    comments = [] if first is None else [f"# first_exceedance={FLOAT_FORMAT % first}"]
     plot = (times, values, "t", "P", "finite-frequency survival probability")
-    return "\n".join(lines) + "\n", None, plot
+    return _csv("t,p", [times, values], comments), None, plot
 
 
-RUNNERS = {
-    "walks": _run_walks,
-    "alpha": _run_alpha,
-    "chi-scan": _run_chi_scan,
-    "bloch": _run_bloch,
-    "witness": _run_witness,
-    "recurrence": _run_recurrence,
+K = Param("k", float, 1.0, "[0, inf)", "wire coupling")
+TMAX = Param("tmax", float, 10.0, "[0, inf)", "end of the time grid")
+STEPS = Param("steps", int, 1000, "[1, inf)", "number of samples, t=0 included")
+ORDER = Param("order", int, DEFAULT_ORDER, "[2, inf)", "series truncation order")
+TOL = Param(
+    "tol", float, DEFAULT_TRUNCATION_TOL, "(0, 0.999]", "truncation certification tolerance"
+)
+OUT = Param("out", str, None, None, "output CSV path (default: stdout)")
+PLOT = Param("plot", str, None, None, "also write an SVG line plot here")
+
+# subcommand -> (summary, runner, parameters in --help order)
+COMMANDS: dict[str, tuple[str, object, tuple[Param, ...]]] = {
+    "walks": ("table of origin-returning walk counts", _run_walks, (
+        Param("n_max", int, 12, "[2, inf)", "largest (even) step count", even=True),
+        OUT,
+    )),
+    "alpha": ("auto-fidelity alpha0 on a time grid", _run_alpha, (
+        Param("method", METHODS, MATRIX, None, "series, matrix propagator or closed form"),
+        Param("k0", float, 1.0, "[0, inf)", "plug coupling"),
+        K, TMAX, STEPS, ORDER,
+        Param("n_sites", int, None, "[2, inf)", "chain length (default: certified choice)"),
+        TOL, OUT, PLOT,
+    )),
+    "chi-scan": ("exponentiality metric over coupling ratios", _run_chi_scan, (
+        Param("ratios", floats, None, "(0, inf)", "comma-separated K/K0 values"),
+        ORDER,
+        Param("quad_tol", float, DEFAULT_QUAD_TOL, "(0, inf)", "chi quadrature tolerance"),
+        OUT, PLOT,
+    )),
+    "bloch": ("Bloch length against a magnetized chain", _run_bloch, (
+        Param("k0", float, math.sqrt(2.0), "[0, inf)", "plug coupling"),
+        K, TMAX, TOL, STEPS, OUT, PLOT,
+    )),
+    "witness": ("two-qubit singlet witness trace", _run_witness, (
+        Param("k0a", float, 1.0, "[0, inf)", "plug coupling of chain A"),
+        Param("ka", float, 1.0, "[0, inf)", "wire coupling of chain A"),
+        Param("k0b", float, 1.0, "[0, inf)", "plug coupling of chain B"),
+        Param("kb", float, 1.0, "[0, inf)", "wire coupling of chain B"),
+        Param("tmax", float, 10.0, "(0, inf)", "end of the time grid"),
+        TOL,
+        Param("steps", int, 2000, "[2, inf)", "number of samples, t=0 included"),
+        OUT, PLOT,
+    )),
+    "recurrence": ("finite-frequency survival probability", _run_recurrence, (
+        Param("freqs", floats, (1.0, math.pi), None, "comma-separated angular frequencies",
+              count="[2, 8]"),
+        Param("threshold", float, 0.9, "(0, 1]", "survival level that counts as a return"),
+        Param("tmax", float, 500.0, "(0, inf)", "end of the time grid"),
+        Param("steps", int, 500001, "[2, inf)", "number of samples, t=0 included"),
+        OUT, PLOT,
+    )),
 }
+
+
+RUNNERS = {command: runner for command, (_, runner, _) in COMMANDS.items()}
 
 
 def main(argv=None) -> int:
@@ -387,7 +328,7 @@ def main(argv=None) -> int:
         if params.get("plot"):
             xs, ys, xlabel, ylabel, title = plot_spec
             emit_plot(xs, ys, xlabel=xlabel, ylabel=ylabel, title=title, path=params["plot"])
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"spinwire {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -37,7 +37,8 @@ LIGHT_CONE_SPEED_FACTOR = 2.0
 LIGHT_CONE_BUFFER = 50
 MAX_DOUBLINGS = 6
 
-ALLOWED_METHODS = ("series", "matrix", "closed_form")
+METHODS = ("series", "matrix", "closed")
+SERIES, MATRIX, _ = METHODS
 
 
 class EigensolverError(RuntimeError):
@@ -78,8 +79,8 @@ class AlphaTrace:
             raise ValueError("times and values must be equal-length 1-d arrays")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if self.method not in ALLOWED_METHODS:
-            raise ValueError(f"method must be one of {ALLOWED_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if times[0] == 0.0 and abs(values[0] - 1.0) > 1e-9:
             raise ValueError(f"alpha0(0) must be 1, got {values[0]!r}")
         if np.max(np.abs(values)) > 1.0 + 1e-12:
@@ -145,7 +146,7 @@ def alpha_trace(
     return AlphaTrace(
         times=times,
         values=values,
-        method="matrix",
+        method=MATRIX,
         truncation_error_bound=truncation_error_bound,
     )
 

@@ -22,6 +22,7 @@ is small.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +50,11 @@ class SeriesCoefficients:
     k0_sq: Fraction
     k_sq: Fraction
     coeffs: tuple[Fraction, ...]
+
+    @functools.cached_property
+    def floats(self) -> tuple[float, ...]:
+        # Converted on first evaluation, then reused for every sample time.
+        return tuple(map(float, self.coeffs))
 
     @property
     def order(self) -> int:
@@ -111,7 +117,7 @@ def hypergeometric_coefficient(
 def build_series(
     k0_sq: RationalLike, k_sq: RationalLike, order: int = DEFAULT_ORDER
 ) -> SeriesCoefficients:
-    """Assemble exact coefficients c_0 .. c_(2*order)."""
+    """Assemble exact coefficients c_0 .. c_order, c_j multiplying t^(2j)."""
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     p = _as_fraction(k0_sq, "k0_sq")
@@ -120,6 +126,14 @@ def build_series(
         raise ValueError("squared couplings must be non-negative")
     coeffs = tuple(series_coefficient(j, p, q) for j in range(order + 1))
     return SeriesCoefficients(k0_sq=p, k_sq=q, coeffs=coeffs)
+
+
+def horner(coeffs, u: float) -> float:
+    """sum_j coeffs[j] * u**j by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
 
 
 def evaluate_series(coeffs: SeriesCoefficients, t: float) -> tuple[float, float]:
@@ -134,11 +148,8 @@ def evaluate_series(coeffs: SeriesCoefficients, t: float) -> tuple[float, float]
     if coeffs.order < 2:
         raise ValueError(f"series must be built to order >= 2, got {coeffs.order}")
     u = t * t
-    acc = 0.0
-    for c in reversed(coeffs.coeffs):
-        acc = acc * u + float(c)
-    last_term = abs(float(coeffs.coeffs[-1])) * u ** coeffs.order
-    return acc, 2.0 * last_term
+    last_term = abs(coeffs.floats[-1]) * u ** coeffs.order
+    return horner(coeffs.floats, u), 2.0 * last_term
 
 
 def alpha_z(alpha_x: float) -> float:

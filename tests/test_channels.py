@@ -130,6 +130,11 @@ def test_inflection_depends_only_on_ratio():
     b = inflection_point(2.0, 10.0)
     assert a[0] == pytest.approx(b[0], rel=1e-10)
     assert a[1] == pytest.approx(b[1], rel=1e-12)
+    # exact coefficients beyond float range still scale down to the (1, 1) curve
+    c = inflection_point(1.0, 1.0, order=60)
+    d = inflection_point(1e4, 1e4, order=60)
+    assert d[0] == pytest.approx(c[0], rel=1e-10)
+    assert d[1] == pytest.approx(c[1], rel=1e-12)
 
 
 def test_inflection_matches_closed_form_at_equal_couplings():

@@ -6,6 +6,8 @@ Claims checked here:
     - identical invocations produce byte-identical files
     - config files merge under flags; junk arguments exit 2 and
       computational dead ends exit 1
+    - every bound declared in the parameter table is enforced, as a flag
+      and as a config key
     - the witness sidecar and SVG plotting work end to end
 """
 
@@ -18,7 +20,8 @@ import sys
 
 import pytest
 
-from spinwire.cli import main
+from spinwire.cli import COMMANDS, build_parser, floats, main, resolve_params
+from spinwire.walks import walk_count
 
 TABLE_CSV = """# generated-by: spinwire 0.1.0
 n,k,count
@@ -68,6 +71,14 @@ def run_cli(capsys, *argv) -> str:
 
 def test_walks_reproduces_published_table(capsys):
     assert run_cli(capsys, "walks", "--n-max", "12") == TABLE_CSV
+
+
+def test_walks_counts_past_int64_stay_exact(capsys):
+    # Catalan(36) at n = 74 lies between 2**63 and 2**64.
+    lines = run_cli(capsys, "walks", "--n-max", "74").splitlines()[2:]
+    rows = [tuple(map(int, line.split(","))) for line in lines]
+    assert max(count for _, _, count in rows) > 2**63
+    assert all(count == walk_count(n, k) for n, k, count in rows)
 
 
 def test_alpha_closed_single_row(capsys):
@@ -172,6 +183,8 @@ def test_argument_errors_exit_2():
         ["chi-scan", "--ratios", "-1"],
         ["chi-scan"],
         ["recurrence", "--freqs", "1.0"],
+        ["recurrence", "--freqs", "1,nan"],
+        ["recurrence", "--freqs", "1,inf"],
         ["witness", "--tmax", "0"],
     ):
         with pytest.raises(SystemExit) as excinfo:
@@ -186,6 +199,86 @@ def test_computational_errors_exit_1(capsys):
     ])
     assert code == 1
     assert "matrix propagator" in capsys.readouterr().err
+    # u**order overflows a float far outside the series window
+    code = main([
+        "alpha", "--method", "series", "--order", "80", "--tmax", "1000",
+        "--steps", "2",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("spinwire alpha: error:")
+
+
+@pytest.mark.parametrize("key", ["out", "plot"])
+def test_config_rejects_non_string_paths(tmp_path, key):
+    # an int would be taken for a file descriptor; this one is never open
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: 987654}))
+    out = tmp_path / "alpha.csv"
+    argv = ["alpha", "--method", "closed", "--tmax", "1", "--steps", "2",
+            "--config", str(config)]
+    if key == "plot":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def _edges(interval, integer):
+    """(just outside, just inside) at each finite end of an interval like "(0, 1]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+
+    def near(x, d):  # d = 0 is the end itself, d = +-1 the next value that way
+        if integer:
+            return int(x) + d
+        return math.nextafter(x, x + d) if d else x
+
+    edges = []
+    if math.isfinite(lo):
+        open_end = interval[0] == "("
+        edges.append((near(lo, 0), near(lo, 1)) if open_end else (near(lo, -1), near(lo, 0)))
+    if math.isfinite(hi):
+        open_end = interval[-1] == ")"
+        edges.append((near(hi, 0), near(hi, -1)) if open_end else (near(hi, 1), near(hi, 0)))
+    return edges
+
+
+def _bound_cases():
+    for command, (_, _, table) in COMMANDS.items():
+        for param in table:
+            if param.bounds:
+                for outside, inside in _edges(param.bounds, param.type is int):
+                    case = f"{command}-{param.name}-{inside!r}"
+                    if param.type is floats:
+                        outside, inside = [outside], [inside]
+                    yield pytest.param(command, param, outside, inside, id=case)
+            if param.type is floats:
+                for outside, inside in _edges(param.count, integer=True):
+                    yield pytest.param(command, param, [1.0] * outside, [1.0] * inside,
+                                       id=f"{command}-{param.name}-count-{inside}")
+
+
+@pytest.mark.parametrize("command,param,outside,inside", list(_bound_cases()))
+def test_every_declared_bound_is_enforced(tmp_path, command, param, outside, inside):
+    base = ["--ratios", "1"] if command == "chi-scan" and param.name != "ratios" else []
+
+    def as_flag(value):
+        text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+        return [command, f"{param.flag}={text}", *base]
+
+    def as_config(value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({param.name: value}))
+        return [command, "--config", str(config), *base]
+
+    for argv in (as_flag(outside), as_config(outside)):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    parser = build_parser()
+    want = tuple(inside) if isinstance(inside, list) else inside
+    for argv in (as_flag(inside), as_config(inside)):
+        assert resolve_params(parser, parser.parse_args(argv))[param.name] == want
 
 
 def test_plot_written(tmp_path):

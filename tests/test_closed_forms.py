@@ -145,7 +145,7 @@ def _closed_form_trace(k0: float, t_lo: float, t_hi: float, n: int) -> AlphaTrac
     case = classify_couplings(k0, 1.0)
     times = np.linspace(t_lo, t_hi, n)
     values = np.array([alpha_closed(case, float(t)) for t in times])
-    return AlphaTrace(times, values, "closed_form", 0.0)
+    return AlphaTrace(times, values, "closed", 0.0)
 
 
 def test_envelope_equal_couplings():
@@ -161,7 +161,7 @@ def test_envelope_sqrt2():
 def test_envelope_synthetic_power_law():
     times = np.linspace(4.0, 52.0, 12001)
     values = np.cos(times) / times**2
-    trace = AlphaTrace(times, values, "closed_form", 0.0)
+    trace = AlphaTrace(times, values, "closed", 0.0)
     assert envelope_exponent(trace, 5.0, 50.0) == pytest.approx(-2.0, abs=0.02)
 
 
