@@ -41,6 +41,7 @@ from .propagator import (
     alpha_trace,
     build_generator,
     choose_chain_length,
+    truncation_bound,
     truncation_gap,
 )
 from .series import (
@@ -86,6 +87,7 @@ __all__ = [
     "recurrence_demo",
     "series_coefficient",
     "singlet_witness",
+    "truncation_bound",
     "truncation_gap",
     "walk_count",
 ]

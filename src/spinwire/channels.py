@@ -247,7 +247,7 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("need a strictly increasing non-negative time grid")
     alpha_a = SpectralAlpha(spec_a)
-    alpha_b = SpectralAlpha(spec_b)
+    alpha_b = alpha_a if spec_b == spec_a else SpectralAlpha(spec_b)
 
     def witness_at(t):
         u = alpha_a(t) * alpha_b(t)

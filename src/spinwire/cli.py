@@ -25,8 +25,9 @@ from . import __version__
 from .channels import (DEFAULT_QUAD_TOL, chi_scan, magnetized_bloch_trace, recurrence_demo,
                        singlet_witness)
 from .closed_forms import alpha_closed, classify_couplings
+# truncation_gap is unused here but stays importable: perfbench/tracer.py patches it by name.
 from .propagator import (DEFAULT_TRUNCATION_TOL, MATRIX, METHODS, SERIES, ChainSpec,
-                         SpectralAlpha, choose_chain_length, truncation_gap)
+                         SpectralAlpha, choose_chain_length, truncation_bound, truncation_gap)
 from .series import DEFAULT_ORDER, alpha_z, build_series, evaluate_series
 from .svg_plot import emit_plot
 from .walks import WalkTable
@@ -65,11 +66,9 @@ def _within(interval: str, x: float) -> bool:
     return above and (x < hi if interval[-1] == ")" else x <= hi)
 
 
-def floats(text) -> tuple[float, ...]:
-    """Comma-separated floats, or a list of numbers from a config file."""
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+def floats(text: str) -> tuple[float, ...]:
+    """Comma-separated floats; an empty item is an error."""
+    return tuple(float(part) for part in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,10 +136,17 @@ def _check(param: Param, value):
             raise ValueError("must be an integer")
         numbers = (value,)
     else:
+        # flags arrive parsed; a config value must be a JSON number, or a list of them
+        items = value if param.type is floats else (value,)
+        if not isinstance(items, (list, tuple)) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in items
+        ):
+            raise ValueError("must be a list of numbers" if param.type is floats
+                             else "must be a number")
         try:
-            numbers = floats(value) if param.type is floats else (float(value),)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("must be a number") from None
+            numbers = tuple(map(float, items))
+        except OverflowError:
+            raise ValueError("must be finite") from None
         if not all(map(math.isfinite, numbers)):
             raise ValueError("must be finite")
     if not _within(param.count, len(numbers)):
@@ -189,12 +195,9 @@ def _run_alpha(params):
         if n_sites is None:
             n_sites = _chain_length(k0, k, tmax, params["tol"])
             comments.append(f"# n_sites={n_sites}")
-        spec = ChainSpec(k0, k, n_sites)
-        if tmax > 0:
-            values, gap = SpectralAlpha(spec)(times), truncation_gap(spec, tmax)
-        else:
-            values, gap = np.ones(steps), 0.0
-        errors = np.full(steps, gap)
+        values = SpectralAlpha(ChainSpec(k0, k, n_sites))(times) if tmax > 0 else np.ones(steps)
+        # |alpha| <= 1 on any chain, so 2 is the trivial bound
+        errors = np.full(steps, min(truncation_bound(k0, k, n_sites, tmax), 2.0))
     else:
         case = classify_couplings(k0, k)
         values = [alpha_closed(case, t) for t in times.tolist()]

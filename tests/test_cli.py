@@ -19,6 +19,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.special
 
 from spinwire.cli import COMMANDS, build_parser, floats, main, resolve_params
 from spinwire.walks import walk_count
@@ -185,6 +186,7 @@ def test_argument_errors_exit_2():
         ["recurrence", "--freqs", "1.0"],
         ["recurrence", "--freqs", "1,nan"],
         ["recurrence", "--freqs", "1,inf"],
+        ["recurrence", "--freqs", "1,,3"],
         ["witness", "--tmax", "0"],
     ):
         with pytest.raises(SystemExit) as excinfo:
@@ -222,6 +224,59 @@ def test_config_rejects_non_string_paths(tmp_path, key):
         main(argv)
     assert excinfo.value.code == 2
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("config", [
+    {"k0": True}, {"k": "1"}, {"k0": True, "k": "1"}, {"tmax": [1.0]},
+])
+def test_config_rejects_non_numbers(tmp_path, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "alpha.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["alpha", "--method", "closed", "--config", str(path), "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("ratios", ["1,2", [1.0, True], 2.0])
+def test_config_list_must_hold_numbers(tmp_path, ratios):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"ratios": ratios}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chi-scan", "--config", str(path), "--out", str(tmp_path / "chi.csv")])
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _error_column(out):
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    return {float(row[3]) for row in rows}
+
+
+def test_matrix_error_column_with_chosen_length(capsys):
+    # 8 sites are far too few for t = 5: the bound is loose but must hold
+    out = run_cli(
+        capsys, "alpha", "--method", "matrix", "--k0", "1", "--k", "1",
+        "--tmax", "5", "--steps", "101", "--n-sites", "8",
+    )
+    (bound,) = _error_column(out)
+    assert 0 < bound < 2
+    rows = [list(map(float, line.split(","))) for line in out.splitlines()[2:]]
+    # K0 = K: alpha0 = J1(2t)/t on the semi-infinite chain
+    worst = max(abs(a - (scipy.special.j1(2 * t) / t if t else 1.0)) for t, a, *_ in rows)
+    assert worst <= bound
+    # a 2-site chain at a huge time: the bound overflows and is capped at 2
+    out = run_cli(
+        capsys, "alpha", "--method", "matrix", "--tmax", "1e6", "--steps", "3",
+        "--n-sites", "2",
+    )
+    assert _error_column(out) == {2.0}
+    out = run_cli(
+        capsys, "alpha", "--method", "matrix", "--tmax", "0", "--steps", "2",
+        "--n-sites", "2",
+    )
+    assert _error_column(out) == {0.0}
 
 
 def _edges(interval, integer):

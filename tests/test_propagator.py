@@ -7,16 +7,22 @@ Claims checked here:
     - the spectrum is chiral and the sine part of the propagator entry
       cancels, so alpha0 is real, even, and bounded by 1
     - the spectral alpha0 agrees with the Bessel closed forms
-    - chain-length selection starts at the light cone, certifies by
-      doubling, and grows linearly in t_max
+    - the a-priori truncation bound holds on the whole time grid for
+      random couplings, against a chain four times longer
+    - chain-length selection starts at the light cone, grows only while
+      the bound exceeds tol, runs no eigensolve, and grows linearly in
+      t_max
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwire import (
     AlphaTrace,
@@ -27,8 +33,11 @@ from spinwire import (
     bessel_j1,
     build_generator,
     choose_chain_length,
+    propagator,
+    truncation_bound,
     truncation_gap,
 )
+from spinwire.cli import main
 
 
 def test_generator_structure():
@@ -98,6 +107,81 @@ def test_matrix_matches_sqrt2_closed_form():
 
 def test_choose_chain_length_light_cone_start():
     assert choose_chain_length(1.0, 10.0, 1e-10) == 70  # ceil(2*1*10) + 50
+    # (k0, k, t_max) -> ceil(2 k t_max) + 50: the bound is already below tol there
+    for k0, k, t_max, start in ((1, 1, 1, 52), (32, 1024, 1, 2098), (1, 1, 1000, 2050)):
+        assert choose_chain_length(k, t_max, 1e-10, k0=k0) == start
+
+
+def test_choose_chain_length_strong_plug_is_minimal():
+    # light-cone start 250; the Dyson tail needs N of about e K t_max
+    n = choose_chain_length(1.0, 100.0, 1e-10, k0=16.0)
+    assert n == 283
+    assert truncation_bound(16.0, 1.0, n, 100.0) < 1e-10
+    assert truncation_bound(16.0, 1.0, n - 1, 100.0) >= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k0=st.floats(0.05, 20.0),
+    k=st.floats(0.05, 20.0),
+    reach=st.floats(0.05, 1.5),
+    n=st.integers(2, 60),
+)
+def test_truncation_bound_holds_on_the_grid(k0, k, reach, n):
+    # t_max in units of the time the fastest coupling needs to cross n sites,
+    # so that many draws land where the bound lies between 0 and 2
+    t_max = reach * n / max(k0, k)
+    times = np.linspace(0.0, t_max, 201)
+    gap = np.abs(SpectralAlpha(ChainSpec(k0, k, n))(times)
+                 - SpectralAlpha(ChainSpec(k0, k, 4 * n))(times))
+    # the 4N-site reference is itself within bound(4N) of the infinite chain;
+    # 1e-12 covers eigensolve rounding, which the bound excludes
+    allowed = truncation_bound(k0, k, n, t_max) + truncation_bound(k0, k, 4 * n, t_max)
+    assert np.max(gap) <= allowed + 1e-12
+
+
+@pytest.mark.parametrize("k0,k,n,t_max", [
+    (1.0, 1.0, 10, 3.0), (1.0, 1.0, 30, 10.0), (16.0, 1.0, 20, 2.0), (0.5, 2.0, 12, 2.0),
+])
+def test_truncation_bound_matches_exact_tails(k0, k, n, t_max):
+    # the two tails of the docstring, summed far out in exact rationals
+    x = Fraction(max(k0 + k, 2 * k)) * Fraction(t_max) / 2
+    y = 2 * Fraction(k) * Fraction(t_max)
+    chebyshev = 4 * sum(x ** (2 * j) / math.factorial(2 * j) for j in range(n, n + 150))
+    dyson = 2 * sum(y**m / math.factorial(m) for m in range(2 * n - 2, 2 * n + 300))
+    exact = float(min(chebyshev, dyson))
+    assert truncation_bound(k0, k, n, t_max) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_truncation_bound_edges():
+    assert truncation_bound(1.0, 1.0, 2, 0.0) == 0.0
+    assert truncation_bound(3.0, 0.0, 2, 5.0) == 0.0  # the dimer is the whole chain
+    assert truncation_bound(1.0, 1.0, 2, 1e6) == math.inf  # beyond float range, no overflow
+    # each tail grows with t_max and shrinks with N
+    assert truncation_bound(1.0, 1.0, 30, 5.0) < truncation_bound(1.0, 1.0, 30, 6.0)
+    assert truncation_bound(1.0, 1.0, 31, 5.0) < truncation_bound(1.0, 1.0, 30, 5.0)
+    with pytest.raises(ValueError):
+        truncation_bound(1.0, 1.0, 1, 5.0)
+    with pytest.raises(ValueError):
+        truncation_bound(1.0, -1.0, 4, 5.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--method", "matrix", "--k0", "32", "--k", "1024", "--tmax", "1", "--steps", "11"],
+    ["witness", "--k0a", "4", "--ka", "1", "--k0b", "4", "--kb", "1", "--tmax", "2",
+     "--steps", "50"],
+])
+def test_one_eigensolve_per_chain(monkeypatch, tmp_path, argv):
+    calls = []
+    real = propagator.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "eigh_tridiagonal", counting)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_choose_chain_length_wire_off():
