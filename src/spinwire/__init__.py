@@ -3,7 +3,7 @@
 The central quantity is the auto-fidelity alpha0(t), the overlap of the
 evolved site-0 operator with its initial self.  It is computed by three
 independent routes that must agree: an exact-rational power series over
-lattice-walk counts, the spectral decomposition of a truncated
+lattice-walk counts, a Chebyshev expansion of a truncated
 tridiagonal propagator, and Bessel closed forms at special coupling
 ratios.  On top of alpha0 sit the qubit-level experiments: the reduced
 channel, the exponentiality metric, inflection analysis, the magnetized
@@ -36,6 +36,7 @@ from .closed_forms import (
 from .propagator import (
     AlphaTrace,
     ChainSpec,
+    ChebyshevAlpha,
     EigensolverError,
     SpectralAlpha,
     alpha_trace,
@@ -58,6 +59,7 @@ __all__ = [
     "AlphaTrace",
     "BlochVector",
     "ChainSpec",
+    "ChebyshevAlpha",
     "ChiScan",
     "EigensolverError",
     "SeriesCoefficients",

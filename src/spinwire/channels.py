@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import adaptive_simpson, bisect_root, bracket_first_sign_change
-from .propagator import ChainSpec, SpectralAlpha
+from .propagator import ChainSpec, ChebyshevAlpha
 from .series import DEFAULT_ORDER, build_series, evaluate_series, horner
 
 WITNESS_THRESHOLD = 1.0
@@ -204,7 +204,7 @@ def magnetized_bloch_trace(spec: ChainSpec, times) -> list[tuple[float, float]]:
     minimum 3/4 sits at alpha0^2 = 1/2.
     """
     times = np.asarray(times, dtype=float)
-    alpha = SpectralAlpha(spec)(times)
+    alpha = ChebyshevAlpha(spec)(times)
     a_sq = alpha * alpha
     v_sq = a_sq + (1.0 - a_sq) ** 2
     return [(float(t), float(v)) for t, v in zip(times, v_sq)]
@@ -246,8 +246,8 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("need a strictly increasing non-negative time grid")
-    alpha_a = SpectralAlpha(spec_a)
-    alpha_b = alpha_a if spec_b == spec_a else SpectralAlpha(spec_b)
+    alpha_a = ChebyshevAlpha(spec_a)
+    alpha_b = alpha_a if spec_b == spec_a else ChebyshevAlpha(spec_b)
 
     def witness_at(t):
         u = alpha_a(t) * alpha_b(t)

@@ -27,7 +27,7 @@ from .channels import (DEFAULT_QUAD_TOL, chi_scan, magnetized_bloch_trace, recur
 from .closed_forms import alpha_closed, classify_couplings
 # truncation_gap is unused here but stays importable: perfbench/tracer.py patches it by name.
 from .propagator import (DEFAULT_TRUNCATION_TOL, MATRIX, METHODS, SERIES, ChainSpec,
-                         SpectralAlpha, choose_chain_length, truncation_bound, truncation_gap)
+                         ChebyshevAlpha, choose_chain_length, truncation_bound, truncation_gap)
 from .series import DEFAULT_ORDER, alpha_z, build_series, evaluate_series
 from .svg_plot import emit_plot
 from .walks import WalkTable
@@ -175,6 +175,11 @@ def _chain_length(k0: float, k: float, tmax: float, tol: float) -> int:
     return choose_chain_length(k, tmax, tol, k0=k0) if tmax > 0 else 2
 
 
+def _chain_comment(n_sites: int, tmax: float) -> list[str]:
+    """The chosen chain length, unless the run stays at t=0 and chose none."""
+    return [f"# n_sites={n_sites}"] if tmax > 0 else []
+
+
 def _run_walks(params):
     table = WalkTable.build(params["n_max"])
     rows = [(n, k, count) for (n, k), count in sorted(table.entries.items())]
@@ -194,8 +199,8 @@ def _run_alpha(params):
         n_sites = params["n_sites"]
         if n_sites is None:
             n_sites = _chain_length(k0, k, tmax, params["tol"])
-            comments.append(f"# n_sites={n_sites}")
-        values = SpectralAlpha(ChainSpec(k0, k, n_sites))(times) if tmax > 0 else np.ones(steps)
+            comments = _chain_comment(n_sites, tmax)
+        values = ChebyshevAlpha(ChainSpec(k0, k, n_sites))(times)
         # |alpha| <= 1 on any chain, so 2 is the trivial bound
         errors = np.full(steps, min(truncation_bound(k0, k, n_sites, tmax), 2.0))
     else:
@@ -222,7 +227,7 @@ def _run_bloch(params):
     pairs = magnetized_bloch_trace(ChainSpec(k0, k, n), np.linspace(0.0, tmax, params["steps"]))
     times, v_sq = zip(*pairs)
     plot = (times, v_sq, "t", "v^2", "Bloch length, magnetized chain")
-    return _csv("t,v_sq", [times, v_sq], [f"# n_sites={n}"]), None, plot
+    return _csv("t,v_sq", [times, v_sq], _chain_comment(n, tmax)), None, plot
 
 
 def _run_witness(params):

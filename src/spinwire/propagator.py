@@ -6,18 +6,23 @@ skew-symmetric tridiagonal generator with couplings (K0, K, K, ...).
 A diagonal gauge (multiplying the n-th amplitude by i^n) turns that
 generator into -i h, where h is the real symmetric tridiagonal hopping
 matrix with zero diagonal and the same off-diagonals, and leaves the
-(0, 0) entry of the propagator untouched.  Hence
+(0, 0) entry of the propagator untouched, so alpha0(t) = <e0|cos(h t)|e0>.
+The spectrum of h is chiral (symmetric about zero for a zero-diagonal
+tridiagonal matrix), which is why alpha0 is real and even in time.
 
-    alpha0(t) = sum_m w_m cos(lambda_m t),
+:class:`ChebyshevAlpha` evaluates it without an eigensolve, by the
+Chebyshev propagator (Tal-Ezer & Kosloff 1984; Weisse et al. 2006):
 
-with lambda_m the eigenvalues of h and w_m the squared first components
-of its orthonormal eigenvectors.  The sine part cancels because the
-spectrum of h is chiral (symmetric about zero for a zero-diagonal
-tridiagonal matrix), which is also why alpha0 is real and even in time.
+    alpha0(t) = J0(at) + 2 sum_{m>=1} (-1)^m J_2m(at) mu_2m,
 
-One tridiagonal eigensolve per chain serves every sample time, which is
-the right trade when the generator is fixed and t sweeps a grid.  The
-physical chain is semi-infinite; a finite truncation is exact for all
+with a = max(K0+K, 2K) >= ||h|| and the moments
+mu_2m = <e0|T_2m(h/a)|e0> = 2 ||T_m(h/a) e0||^2 - 1 taken from the
+three-term Chebyshev recurrence, and the Bessel values from Miller's
+backward recurrence.  :class:`SpectralAlpha` evaluates the same chain
+through one tridiagonal eigensolve, alpha0(t) = sum_m w_m cos(lambda_m t);
+it is the independent reference of the tests.
+
+The physical chain is semi-infinite; a finite truncation is exact for all
 practical purposes once the chain outruns the operator light cone
 (support spreads no faster than 2K sites per unit time), and
 :func:`choose_chain_length` certifies the choice with the a-priori
@@ -26,6 +31,7 @@ practical purposes once the chain outruns the operator light cone
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +39,11 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 WEIGHT_SUM_TOL = 1e-12
+MOMENT_TOL = 1e-12
+BESSEL_TAIL_TOL = 2.0**-54  # half an ulp of 1: the dropped Bessel terms sit below rounding
+ORDER_BUCKETS = 16  # series orders are searched at x rounded up to 1/16 of an octave
+RESCALE_ABOVE = 2.0**600
+RESCALE_BY = 2.0**-600
 DEFAULT_TRUNCATION_TOL = 1e-10
 LIGHT_CONE_SPEED_FACTOR = 2.0
 LIGHT_CONE_BUFFER = 50
@@ -43,7 +54,8 @@ SERIES, MATRIX, _ = METHODS
 
 
 class EigensolverError(RuntimeError):
-    """Tridiagonal eigendecomposition failed or came back inconsistent."""
+    """The chain's spectrum came back inconsistent: a failed eigendecomposition,
+    eigenvector weights that do not sum to 1, or a Chebyshev moment outside [-1, 1]."""
 
 
 @dataclass(frozen=True)
@@ -105,11 +117,192 @@ def _off_diagonal(spec: ChainSpec) -> np.ndarray:
     return off
 
 
-class SpectralAlpha:
-    """alpha0(t) evaluator bound to one chain.
+class ChebyshevAlpha:
+    """alpha0(t) evaluator bound to one chain, without an eigensolve.
 
-    Does the eigensolve once; calls are then a cosine sum, cheap enough
-    for dense grids and for bisection refinement of crossing times.
+    The moments mu_2m are computed once, on demand, and kept: a call
+    extends them only when its largest time needs a higher order.  The
+    vector T_m(h/a) e0 lives on sites 0..m, so the recurrence runs on a
+    support that grows by one site per step until it spans the chain.
+
+    For x = a|t| the series stops at the smallest order M whose dropped
+    terms, bounded by |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4), stay below
+    rounding; M is searched once per sixteenth of an octave of x, so that
+    a grid needs few searches and a scalar call sees the same M as a grid.
+    J_2M+1 down to J_0 come from Miller's backward recurrence (DLMF 3.6),
+    started at 1, 0 and normalised by J0 + 2 sum_k J_2k = 1, with a
+    power-of-two rescaling against overflow.  A scalar call runs the
+    recurrence on floats, an array call on arrays, with the same
+    operations in the same order: the two agree bit for bit, so bisection
+    brackets see the values of the grid.  Time 0 gives exactly 1.
+    Working memory is O(len(t)) plus the kept moments, one Python float
+    (about 32 B) per order, and about 0.7 a max|t| orders: it grows with
+    a t whatever the chain length is.
+    """
+
+    def __init__(self, spec: ChainSpec):
+        self.spec = spec
+        self.a = max(spec.k0 + spec.k, 2.0 * spec.k)
+        off = _off_diagonal(spec)
+        # 2 h / a; an a of 0 leaves every x at 0 and needs no moment
+        self._twice_off = off * (2.0 / self.a) if self.a > 0 else off
+        # T_m(h/a) e0 and its predecessor; seeding the predecessor with
+        # (h/a) e0 makes the general step 2 (h/a) v - prev give T_1 e0.
+        self._vec = np.zeros(spec.n_sites)
+        self._vec[0] = 1.0
+        self._prev = np.zeros(spec.n_sites)
+        self._prev[1] = spec.k0 / self.a if self.a > 0 else 0.0
+        self._spare = np.zeros(spec.n_sites)
+        self.signed_moments: list[float] = []  # (-1)^m mu_2m, m = 0, 1, ...
+
+    def _extend(self, order: int) -> list[float]:
+        """The signed moments up to order, computing the missing ones."""
+        moments = self.signed_moments
+        n = self.spec.n_sites
+        vec, prev, spare = self._vec, self._prev, self._spare
+        try:
+            for m in range(len(moments), order + 1):
+                size = min(m + 1, n)  # vec = T_m(h/a) e0 lives on sites 0..m
+                head = vec[:size]
+                mu = 2.0 * float(head @ head) - 1.0
+                if not abs(mu) <= 1.0 + MOMENT_TOL or (m == 0 and mu != 1.0):
+                    raise EigensolverError(f"Chebyshev moment mu_{2 * m} = {mu!r} for {self.spec}")
+                moments.append(-mu if m % 2 else mu)
+                # T_m+1 e0 = 2 (h/a) T_m e0 - T_m-1 e0 on sites 0..m+1; spare
+                # held T_m-2 e0, so it is zero beyond them
+                grown = min(size + 1, n)
+                twice = self._twice_off[: grown - 1]
+                np.negative(prev[:grown], out=spare[:grown])
+                spare[1:grown] += twice * vec[: grown - 1]
+                spare[: grown - 1] += twice * vec[1:grown]
+                vec, prev, spare = spare, vec, prev
+        finally:  # the vectors stay in step with the moments kept
+            self._vec, self._prev, self._spare = vec, prev, spare
+        return moments
+
+    def __call__(self, t):
+        t_arr = np.asarray(t, dtype=float)
+        if t_arr.ndim == 0:
+            x = self.a * abs(float(t_arr))
+            if not math.isfinite(x):
+                raise ValueError(f"alpha0 needs a finite a*t, got {x}")
+            order = _series_order(float(_order_bucket(x))) if x > 0 else 0
+            return _miller_sum(x, order, self._extend(order)) if order else 1.0
+        x = self.a * np.abs(t_arr.ravel())
+        if not np.all(np.isfinite(x)):
+            raise ValueError("alpha0 needs a finite a*t")
+        values = np.ones_like(x)
+        rows = np.flatnonzero(x > 0)
+        rows = rows[np.argsort(x[rows], kind="stable")]
+        orders = _series_orders(x[rows])
+        rows, orders = rows[orders > 0], orders[orders > 0]
+        if rows.size:
+            moments = self._extend(int(orders[-1]))
+            values[rows] = _miller_sums(x[rows], orders, moments)
+        return values.reshape(t_arr.shape)
+
+
+def _miller_sum(x: float, order: int, coefficients) -> float:
+    """J0(x) + 2 sum_{m=1}^{order} c_m J_2m(x) for x > 0 and order >= 1.
+
+    Miller's backward recurrence J_n-1 = (2n/x) J_n - J_n+1 from
+    J_2order+2 = 0, J_2order+1 = 1, normalised at the end by
+    J0 + 2 sum_m J_2m = 1; a power-of-two rescaling keeps the growing
+    values below overflow.  The rescaling is exact and is checked every
+    other order, between which values grow by at most (2n/x + 1)^2.
+    """
+    inv = 2.0 / x
+    odd, even, weighted, plain = 1.0, 0.0, 0.0, 0.0  # J_2m+1, J_2m+2, the two sums
+    for m in range(order, 0, -1):
+        even = inv * (2 * m + 1) * odd - even
+        weighted += coefficients[m] * even
+        plain += even
+        odd = inv * (2 * m) * even - odd
+        if abs(odd) > RESCALE_ABOVE:
+            odd, even = odd * RESCALE_BY, even * RESCALE_BY
+            weighted, plain = weighted * RESCALE_BY, plain * RESCALE_BY
+    j0 = inv * odd - even
+    return (j0 + 2.0 * weighted) / (j0 + 2.0 * plain)
+
+
+def _miller_sums(xs: np.ndarray, orders: np.ndarray, coefficients) -> np.ndarray:
+    """_miller_sum at each x of an ascending xs, to its order (nondecreasing, >= 1).
+
+    The loop runs over arrays, with the operations of _miller_sum in the
+    same order, so every row equals its float result bit for bit; a row
+    joins when m reaches its order.
+    """
+    top = int(orders[-1])
+    joins = np.searchsorted(orders, np.arange(top + 1))  # first row with order >= m
+    inv = 2.0 / xs
+    odd, even, weighted, plain, scratch = (np.zeros(xs.size) for _ in range(5))
+    joined = xs.size
+    for m in range(top, 0, -1):
+        lo = joins[m]
+        odd[lo:joined] = 1.0
+        joined = lo
+        o, e, w, p, s, i = (v[lo:] for v in (odd, even, weighted, plain, scratch, inv))
+        np.multiply(i, 2 * m + 1, out=s)
+        s *= o
+        np.subtract(s, e, out=e)
+        np.multiply(e, coefficients[m], out=s)
+        w += s
+        p += e
+        np.multiply(i, 2 * m, out=s)
+        s *= e
+        np.subtract(s, o, out=o)
+        np.abs(o, out=s)
+        if s.max() > RESCALE_ABOVE:
+            big = s > RESCALE_ABOVE
+            for v in (o, e, w, p):
+                v[big] *= RESCALE_BY
+    j0 = inv * odd - even
+    return (j0 + 2.0 * weighted) / (j0 + 2.0 * plain)
+
+
+def _series_orders(xs: np.ndarray) -> np.ndarray:
+    """_series_order of each x > 0 of an ascending xs, one search per bucket."""
+    buckets = _order_bucket(xs)
+    firsts = np.flatnonzero(np.diff(buckets, prepend=-1.0))
+    orders = [_series_order(b) for b in buckets[firsts].tolist()]
+    return np.repeat(np.array(orders, dtype=np.int64), np.diff(firsts, append=xs.size))
+
+
+def _order_bucket(x):
+    """x > 0 rounded up to the next of ORDER_BUCKETS steps of its octave, exactly."""
+    mantissa, exponent = np.frexp(x)
+    return np.ldexp(np.ceil(mantissa * ORDER_BUCKETS) / ORDER_BUCKETS, exponent)
+
+
+@functools.lru_cache(maxsize=None)
+def _series_order(x: float) -> int:
+    """Smallest M with 2 sum_{m>M} (x/2)^2m / (2m)! below BESSEL_TAIL_TOL.
+
+    That sum bounds the Bessel terms the series drops at x, each with
+    |mu_2m| <= 1, and also the J_2m the normalisation drops.  Callers pass
+    bucket values, so the cache holds at most ORDER_BUCKETS per octave.
+    """
+    limit = math.log(BESSEL_TAIL_TOL / 2.0)
+
+    def enough(order: int) -> bool:
+        return _log_tail(x / 2.0, 2 * order + 2, 2) < limit
+
+    if enough(0):
+        return 0
+    lo, hi = 0, 1  # enough(hi) is false until the doubling ends
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
+# SpectralAlpha and eigh_tridiagonal stay as the tests' reference; perfbench/tracer.py patches both.
+class SpectralAlpha:
+    """alpha0(t) evaluator bound to one chain, by one tridiagonal eigensolve.
+
+    Does the eigensolve once; calls are then a cosine sum.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -143,7 +336,7 @@ def alpha_trace(
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0):
         raise ValueError("time grid must be non-empty and non-negative")
-    values = SpectralAlpha(spec)(times)
+    values = ChebyshevAlpha(spec)(times)
     return AlphaTrace(
         times=times,
         values=values,

@@ -3,6 +3,7 @@
 Claims checked here:
     - the walks table reproduces the published counts, byte for byte
     - CSV schemas and the pinned single-row alpha output are stable
+    - a chain length is echoed only when one was chosen
     - identical invocations produce byte-identical files
     - config files merge under flags; junk arguments exit 2 and
       computational dead ends exit 1
@@ -114,6 +115,17 @@ def test_matrix_echoes_chosen_length(capsys):
         "--tmax", "1", "--steps", "2", "--n-sites", "40",
     )
     assert "# n_sites" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--method", "matrix", "--tmax", "0", "--steps", "2"],
+    ["bloch", "--tmax", "0", "--steps", "2"],
+])
+def test_no_chain_comment_at_time_zero(capsys, argv):
+    # a grid that stays at t = 0 needs no chain, so none is reported
+    lines = run_cli(capsys, *argv).splitlines()
+    assert not any(line.startswith("# n_sites") for line in lines)
+    assert [line.split(",")[:2] for line in lines[2:]] == [["0", "1"], ["0", "1"]]
 
 
 def test_identical_invocations_byte_identical(tmp_path):

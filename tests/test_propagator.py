@@ -12,6 +12,10 @@ Claims checked here:
     - chain-length selection starts at the light cone, grows only while
       the bound exceeds tol, runs no eigensolve, and grows linearly in
       t_max
+    - the Chebyshev evaluator agrees with the spectral one on random
+      chains, returns the same bits for a scalar as for the grid it sits
+      in, and its Miller Bessel sums match scipy.special.jv; the CLI runs
+      no eigensolve and builds the moments once per chain
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwire import (
     AlphaTrace,
     ChainSpec,
+    ChebyshevAlpha,
     SpectralAlpha,
     alpha_trace,
     bessel_j0,
@@ -171,17 +177,141 @@ def test_truncation_bound_edges():
     ["witness", "--k0a", "4", "--ka", "1", "--k0b", "4", "--kb", "1", "--tmax", "2",
      "--steps", "50"],
 ])
-def test_one_eigensolve_per_chain(monkeypatch, tmp_path, argv):
-    calls = []
-    real = propagator.eigh_tridiagonal
+def test_no_eigensolve_and_moments_once_per_chain(monkeypatch, tmp_path, argv):
+    solves, chains = [], []
+    real_init = ChebyshevAlpha.__init__
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting_init(self, spec):
+        chains.append(spec)
+        real_init(self, spec)
 
-    monkeypatch.setattr(propagator, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(propagator, "eigh_tridiagonal", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(ChebyshevAlpha, "__init__", counting_init)
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-    assert len(calls) == 1
+    assert solves == []
+    assert len(chains) == 1  # the witness chains are equal: one set of moments serves both
+
+
+def _log_uniform_coupling():
+    return st.one_of(st.just(0.0), st.floats(-8.0, 2.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k0=_log_uniform_coupling(), k=_log_uniform_coupling(), n=st.integers(2, 200),
+       log_reach=st.floats(-3.0, 2.5))
+def test_chebyshev_matches_spectral(k0, k, n, log_reach):
+    # a * t_max spans 1e-3 to about 300, so that the series order passes n
+    # (the moments then come from a support capped at the chain's end)
+    spec = ChainSpec(k0, k, n)
+    a = max(k0 + k, 2.0 * k)
+    t_max = 10.0**log_reach / a if a > 0 else 1.0
+    times = np.linspace(0.0, t_max, 101)
+    values = ChebyshevAlpha(spec)(times)
+    assert values[0] == 1.0
+    # both routes round like a*t*eps: eigenvalue errors of order eps*||h||
+    # grow into the phases, Chebyshev recurrence errors grow with the order
+    tol = 64.0 * np.finfo(float).eps * (1.0 + a * t_max)
+    assert np.max(np.abs(values - SpectralAlpha(spec)(times))) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(k0=_log_uniform_coupling(), k=_log_uniform_coupling(), n=st.integers(2, 120),
+       log_reach=st.floats(-3.0, 2.3), size=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_chebyshev_scalar_equals_array(k0, k, n, log_reach, size, seed):
+    # unsorted times with repeats, zeros and negatives, from one row up
+    spec = ChainSpec(k0, k, n)
+    a = max(k0 + k, 2.0 * k)
+    t_max = 10.0**log_reach / a if a > 0 else 1.0
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(-t_max, t_max, size)
+    times[rng.integers(0, size, size // 4)] = 0.0
+    alpha = ChebyshevAlpha(spec)
+    grid = alpha(times)
+    assert np.array_equal(grid, [alpha(float(t)) for t in times])
+    assert np.array_equal(grid.reshape(1, -1), alpha(times.reshape(1, -1)))
+    assert isinstance(alpha(float(times[0])), float)
+
+
+def test_chebyshev_rescales_at_long_times():
+    # past a*t of about 2500 the backward recurrence needs its rescaling;
+    # a short chain keeps the reference eigensolve cheap
+    spec = ChainSpec(0.7, 1.0, 300)
+    times = np.linspace(0.0, 1500.0, 64)
+    alpha = ChebyshevAlpha(spec)
+    values = alpha(times)
+    assert np.all(np.isfinite(values))
+    assert np.array_equal(values, [alpha(float(t)) for t in times])
+    tol = 64.0 * np.finfo(float).eps * (1.0 + alpha.a * 1500.0)
+    assert np.max(np.abs(values - SpectralAlpha(spec)(times))) <= tol
+
+
+def test_chebyshev_edges():
+    alpha = ChebyshevAlpha(ChainSpec(1.0, 1.0, 6))
+    assert alpha(0.0) == 1.0 and alpha(-0.0) == 1.0
+    assert alpha(np.array([])).shape == (0,)
+    assert np.array_equal(alpha(np.zeros(3)), np.ones(3))
+    assert alpha(-1.5) == alpha(1.5)
+    assert alpha(np.ones((2, 3))).shape == (2, 3)
+    assert ChebyshevAlpha(ChainSpec(0.0, 0.0, 4))(np.linspace(0.0, 5.0, 50)).tolist() == [1.0] * 50
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            alpha(bad)
+        with pytest.raises(ValueError):
+            alpha(np.array([0.0, bad]))
+
+
+def test_chebyshev_moments_are_sane():
+    alpha = ChebyshevAlpha(ChainSpec(1.0, 1.0, 50))
+    moments = alpha._extend(40)
+    assert moments[0] == 1.0
+    assert max(map(abs, moments)) <= 1.0 + propagator.MOMENT_TOL
+    # uniform chain: semicircle moments mu_2 = -1/2, then zero until the end is felt
+    assert moments[1] == pytest.approx(0.5, abs=1e-15)  # (-1)^1 mu_2
+    assert max(map(abs, moments[2:25])) < 1e-14
+    alpha._twice_off = 2.0 * alpha._twice_off  # a below ||h||: T_m(h/a) blows up
+    with pytest.raises(propagator.EigensolverError):
+        alpha._extend(80)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_x=st.floats(-6.0, math.log10(2048.0)), seed=st.integers(0, 2**32 - 1))
+def test_miller_sums_match_scipy_jv(log_x, seed):
+    # J0(x) + 2 sum_m c_m J_2m(x) with |c_m| <= 1, as the moments are
+    x = 10.0**log_x
+    bucket = float(propagator._order_bucket(x))
+    assert x <= bucket <= 1.125 * x
+    order = propagator._series_order(bucket)
+    # the order found at the bucket also drops terms below rounding at x
+    tail = propagator._log_tail(x / 2.0, 2 * order + 2, 2)
+    assert tail < math.log(propagator.BESSEL_TAIL_TOL / 2.0)
+    if order == 0:
+        assert 1.0 - scipy.special.jv(0, x) < 2.0**-52
+        return
+    coefficients = np.random.default_rng(seed).uniform(-1.0, 1.0, order + 1)
+    reference = scipy.special.jv(0, x) + 2.0 * np.sum(
+        coefficients[1:] * scipy.special.jv(2.0 * np.arange(1, order + 1), x))
+    got = propagator._miller_sum(x, order, coefficients.tolist())
+    # scipy's jv is off by up to about 1e-14 per value near x = 1000
+    # (checked against mpmath), which its sum over ~x orders accumulates
+    assert abs(got - reference) <= 1e-15 * (1.0 + x)
+    # the array loop at and around x gives the same bits
+    xs = np.sort(x * np.linspace(0.5, 1.0, 40))
+    orders = propagator._series_orders(xs)
+    keep = orders > 0
+    rows = propagator._miller_sums(xs[keep], orders[keep], coefficients.tolist())
+    singles = [propagator._miller_sum(*row, coefficients.tolist())
+               for row in zip(xs[keep].tolist(), orders[keep].tolist())]
+    assert np.array_equal(rows, singles)
+
+
+@pytest.mark.parametrize("x", [0.3, 7.0, 99.5, 1024.0, 2048.0, 5000.0])
+def test_miller_sum_jacobi_anger(x):
+    # cos x = J0(x) + 2 sum_m (-1)^m J_2m(x): all moments of a 2-site chain with K = 0 are 1.
+    # Rounding 2/x moves the argument by up to x*eps/2, hence the tolerance.
+    order = propagator._series_order(float(propagator._order_bucket(x)))
+    signs = [(-1.0) ** m for m in range(order + 1)]
+    tol = 2.0 * np.finfo(float).eps * (1.0 + x)
+    assert propagator._miller_sum(x, order, signs) == pytest.approx(math.cos(x), abs=tol)
 
 
 def test_choose_chain_length_wire_off():
