@@ -53,7 +53,7 @@ from .series import (
     hypergeometric_coefficient,
     series_coefficient,
 )
-from .walks import WalkTable, catalan, enumerate_walks, walk_count
+from .walks import WalkTable, catalan, enumerate_walks, walk_count, walk_row
 
 __all__ = [
     "AlphaTrace",
@@ -92,4 +92,5 @@ __all__ = [
     "truncation_bound",
     "truncation_gap",
     "walk_count",
+    "walk_row",
 ]

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .numerics import adaptive_simpson, bisect_root, bracket_first_sign_change
 from .propagator import ChainSpec, ChebyshevAlpha
-from .series import DEFAULT_ORDER, build_series, evaluate_series, horner
+from .series import DEFAULT_ORDER, _as_fraction, build_series, evaluate_series, horner
 
 WITNESS_THRESHOLD = 1.0
 CROSSING_XTOL = 1e-9
@@ -100,9 +99,9 @@ def chi_metric(
     warning is issued when the series error estimate at x = 1 exceeds
     the quadrature tolerance.
     """
-    if ratio <= 0:
+    r = _as_fraction(ratio, "ratio")
+    if r <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    r = Fraction(ratio)
     coeffs = build_series(k0_sq=r * r, k_sq=r**4, order=order)
 
     _, tail = evaluate_series(coeffs, 1.0)
@@ -154,15 +153,17 @@ def inflection_point(
     sqrt(2) (K^2/K0^2 + K^4/K0^4)^(-1/2).  Both depend on the couplings
     only through K/K0.  Returns (numeric_x0, truncated_x0).
     """
-    if k0 <= 0 or k <= 0:
+    plug = _as_fraction(k0, "k0")
+    wire = _as_fraction(k, "k")
+    if plug <= 0 or wire <= 0:
         raise ValueError(f"couplings must be positive, got k0={k0}, k={k}")
-    q = (Fraction(k) / Fraction(k0)) ** 2  # (K/K0)^2
-    tau_sq = Fraction(k) ** 2 / Fraction(k0) ** 4
+    q = (wire / plug) ** 2  # (K/K0)^2
+    tau_sq = wire**2 / plug**4
 
     # Second derivative of the rescaled series: sum over j >= 1 of
     # c_{2j} tau^{2j} (2j)(2j-1) x^{2j-2}, with float coefficients and
     # Horner in x^2.
-    coeffs = build_series(k0_sq=Fraction(k0) ** 2, k_sq=Fraction(k) ** 2, order=order)
+    coeffs = build_series(k0_sq=plug**2, k_sq=wire**2, order=order)
     second = [
         float(coeffs.coeffs[j] * tau_sq**j * (2 * j) * (2 * j - 1))
         for j in range(1, order + 1)

@@ -13,11 +13,15 @@ for a pair of plug hops, which is where the K0/K bookkeeping comes
 from.  The same coefficient also has a terminating Gauss-hypergeometric
 form, implemented independently as a cross-check.
 
-Coefficients are exact rationals end to end.  Floating point enters
-only when a series is evaluated at a concrete time, so cancellation is
-confined to the final sum and reported through an error estimate; the
-alternating series is trustworthy roughly while the last retained term
-is small.
+Coefficients are exact rationals end to end.  The walk sums are done
+in integers: with p = K0^2 = P/D and q = K^2 = Q/D over the common
+denominator D, the t^(2j) coefficient is (-1)^j N_j / (D^j (2j)!) with
+the integer numerator N_j = sum_k l(2j, k) P^(k+1) Q^(j-k-1), and each
+coefficient is reduced once, by a single Fraction.  Floating point
+enters only when a series is evaluated at a concrete time, so
+cancellation is confined to the final sum and reported through an error
+estimate; the alternating series is trustworthy roughly while the last
+retained term is small.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .walks import walk_count
+from .walks import walk_row
 
 DEFAULT_ORDER = 20
 
@@ -36,10 +40,11 @@ RationalLike = Rational | int | float
 
 
 def _as_fraction(value: RationalLike, name: str) -> Fraction:
-    # Fraction(float) is exact: a float is a binary rational.
+    # Fraction(float) is exact: a float is a binary rational.  nan raises
+    # ValueError and the infinities OverflowError.
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be a rational number, got {value!r}") from exc
 
 
@@ -61,18 +66,35 @@ class SeriesCoefficients:
         return len(self.coeffs) - 1
 
 
+def _walk_sum_coefficients(p: Fraction, q: Fraction, order: int) -> tuple[Fraction, ...]:
+    """c_0 .. c_order from the walk-count sums, in integer arithmetic."""
+    d = math.lcm(p.denominator, q.denominator)
+    big_p = p.numerator * (d // p.denominator)
+    big_q = q.numerator * (d // q.denominator)
+    q_powers = [1]
+    for _ in range(order):
+        q_powers.append(q_powers[-1] * big_q)
+    coeffs = [Fraction(1)]
+    denominator = 1  # D^j (2j)!
+    for j in range(1, order + 1):
+        denominator *= d * (2 * j - 1) * (2 * j)
+        row = walk_row(2 * j)
+        # N_j = P * sum_k l(2j, k) P^k Q^(j-1-k), by Horner in P.
+        numerator = 0
+        for k in range(j - 1, -1, -1):
+            numerator = numerator * big_p + row[k] * q_powers[j - 1 - k]
+        numerator *= big_p
+        coeffs.append(Fraction(-numerator if j % 2 else numerator, denominator))
+    return tuple(coeffs)
+
+
 def series_coefficient(j: int, k0_sq: RationalLike, k_sq: RationalLike) -> Fraction:
     """Exact coefficient of t^(2j) from the walk-count sum."""
     if j < 0:
         raise ValueError(f"series index must be non-negative, got {j}")
-    if j == 0:
-        return Fraction(1)
     p = _as_fraction(k0_sq, "k0_sq")
     q = _as_fraction(k_sq, "k_sq")
-    total = Fraction(0)
-    for k in range(j):
-        total += walk_count(2 * j, k) * p ** (k + 1) * q ** (j - k - 1)
-    return Fraction((-1) ** j, math.factorial(2 * j)) * total
+    return _walk_sum_coefficients(p, q, j)[j]
 
 
 def hypergeometric_coefficient(
@@ -124,8 +146,7 @@ def build_series(
     q = _as_fraction(k_sq, "k_sq")
     if p < 0 or q < 0:
         raise ValueError("squared couplings must be non-negative")
-    coeffs = tuple(series_coefficient(j, p, q) for j in range(order + 1))
-    return SeriesCoefficients(k0_sq=p, k_sq=q, coeffs=coeffs)
+    return SeriesCoefficients(k0_sq=p, k_sq=q, coeffs=_walk_sum_coefficients(p, q, order))
 
 
 def horner(coeffs, u: float) -> float:

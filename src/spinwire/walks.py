@@ -50,6 +50,20 @@ def walk_count(n: int, k: int) -> int:
     )
 
 
+def walk_row(n: int) -> list[int]:
+    """[walk_count(n, k) for k in range(n // 2)], without a factorial per entry.
+
+    The row starts at walk_count(n, 0) and steps along k by the exact
+    ratio l(n, k+1) / l(n, k) = (k+2)(n/2-k-1) / ((k+1)(n-k-2)); the
+    product is a multiple of the divisor, so floor division is exact.
+    """
+    row = [walk_count(n, 0)]
+    half = n // 2
+    for k in range(half - 1):
+        row.append(row[-1] * (k + 2) * (half - k - 1) // ((k + 1) * (n - k - 2)))
+    return row
+
+
 def enumerate_walks(n: int, cap: int = ENUMERATION_CAP) -> dict[int, int]:
     """Count the same walks by brute force, binned by interior origin visits.
 
@@ -93,7 +107,7 @@ class WalkTable:
 
     @classmethod
     def build(cls, n_max: int, k_max: int | None = None) -> "WalkTable":
-        """Tabulate walk_count for even n up to n_max, k up to k_max.
+        """Tabulate the counts for even n up to n_max, k up to k_max.
 
         k_max defaults to n_max/2 - 1, the largest k with a nonzero count
         anywhere in the table; smaller n then carry explicit zeros, which
@@ -102,11 +116,11 @@ class WalkTable:
         _check_step_count(n_max)
         if k_max is None:
             k_max = n_max // 2 - 1
-        entries = {
-            (n, k): walk_count(n, k)
-            for n in range(2, n_max + 1, 2)
-            for k in range(k_max + 1)
-        }
+        entries = {}
+        for n in range(2, n_max + 1, 2):
+            row = walk_row(n)
+            for k in range(k_max + 1):
+                entries[(n, k)] = row[k] if k < len(row) else 0
         return cls(entries)
 
     def row(self, n: int) -> dict[int, int]:

@@ -116,6 +116,9 @@ def test_chi_scan_bundles_results():
 def test_chi_rejects_bad_ratio():
     with pytest.raises(ValueError):
         chi_metric(0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            chi_metric(bad)
 
 
 # -------------------------------------------------------------- inflection --
@@ -178,6 +181,11 @@ def test_inflection_outside_window_raises():
         inflection_point(10.0, 1.0)
     with pytest.raises(ValueError):
         inflection_point(0.0, 1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            inflection_point(bad, 1.0)
+        with pytest.raises(ValueError):
+            inflection_point(1.0, bad)
 
 
 # -------------------------------------------------------------- magnetized --

@@ -4,6 +4,9 @@ Claims checked here:
     - low-order coefficients match the known closed-form expansions
     - the hypergeometric route equals the walk-count route as exact
       rationals across couplings and orders
+    - the integer build equals the plain Fraction walk sum coefficient
+      by coefficient, for full-mantissa doubles, small-denominator
+      rationals and zero couplings
     - the wire-off series is exactly the cosine series
     - numeric evaluation agrees with the in-repo Bessel oracles and the
       matrix propagator inside the convergence window
@@ -17,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinwire import (
     ChainSpec,
@@ -28,9 +33,43 @@ from spinwire import (
     evaluate_series,
     hypergeometric_coefficient,
     series_coefficient,
+    walk_count,
 )
 
 COUPLING_GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (4, 1)]  # (K0^2, K^2)
+
+
+def walk_sum_reference(j: int, k0_sq, k_sq) -> Fraction:
+    """c_j as the plain Fraction walk sum, one factorial-form count per term."""
+    if j == 0:
+        return Fraction(1)
+    p, q = Fraction(k0_sq), Fraction(k_sq)
+    total = Fraction(0)
+    for k in range(j):
+        total += walk_count(2 * j, k) * p ** (k + 1) * q ** (j - k - 1)
+    return Fraction((-1) ** j, math.factorial(2 * j)) * total
+
+
+# A double with all 52 fraction bits drawn, scaled into [1/16, 32).
+full_mantissa = st.builds(
+    lambda m, e: math.ldexp(m, e - 52),
+    st.integers(2**52, 2**53 - 1),
+    st.integers(-4, 4),
+)
+small_rational = st.fractions(min_value=0, max_value=12, max_denominator=13)
+
+
+@st.composite
+def coupling_pairs(draw):
+    """(K0^2, K^2) as the CLI, chi_metric or a hand-written rational gives them."""
+    kind = draw(st.sampled_from(["chi", "rational", "zero_plug", "zero_wire"]))
+    if kind == "chi":
+        r = Fraction(draw(full_mantissa))
+        return r * r, r**4
+    if kind == "rational":
+        return draw(small_rational), draw(small_rational)
+    other = draw(st.one_of(small_rational, full_mantissa))
+    return (0, other) if kind == "zero_plug" else (other, 0)
 
 
 def test_constant_term_is_one():
@@ -79,6 +118,32 @@ def test_hypergeometric_rejects_j_zero():
         hypergeometric_coefficient(0, 1)
     with pytest.raises(ValueError):
         hypergeometric_coefficient(3, 0)
+
+
+@settings(deadline=None)
+@given(couplings=coupling_pairs(), order=st.integers(0, 30))
+@example(couplings=(Fraction(1, 3), Fraction(5, 7)), order=30)
+@example(couplings=(5, Fraction(2, 9)), order=30)
+@example(couplings=(0, Fraction(5, 7)), order=30)
+@example(couplings=(Fraction(1, 3), 0), order=30)
+def test_build_equals_fraction_walk_sum(couplings, order):
+    k0_sq, k_sq = couplings
+    series = build_series(k0_sq, k_sq, order)
+    assert series.coeffs == tuple(
+        walk_sum_reference(j, k0_sq, k_sq) for j in range(order + 1)
+    )
+    assert series_coefficient(order, k0_sq, k_sq) == series.coeffs[-1]
+
+
+def test_order_80_chi_style_build():
+    # chi_metric's couplings at a full-mantissa ratio: p = r^2, q = r^4.
+    r = Fraction(1.7320508075688772)
+    series = build_series(r * r, r**4, 80)
+    assert series.order == 80
+    for j in (79, 80):
+        assert series.coeffs[j] == walk_sum_reference(j, r * r, r**4)
+    for j in range(1, 81):
+        assert series.coeffs[j] == hypergeometric_coefficient(j, 1 / (r * r), r**4)
 
 
 def test_wire_off_series_is_cosine():
@@ -131,6 +196,18 @@ def test_build_rejects_bad_input():
         evaluate_series(build_series(1, 1, order=1), 0.5)
     with pytest.raises(ValueError):
         series_coefficient(-1, 1, 1)
+    # nan and both infinities, in every coupling argument
+    for bad in (math.inf, -math.inf, math.nan):
+        for call in (
+            lambda: build_series(bad, 1),
+            lambda: build_series(1, bad),
+            lambda: series_coefficient(2, bad, 1),
+            lambda: series_coefficient(2, 1, bad),
+            lambda: hypergeometric_coefficient(2, bad),
+            lambda: hypergeometric_coefficient(2, 1, bad),
+        ):
+            with pytest.raises(ValueError, match="rational"):
+                call()
 
 
 def test_alpha_z_squares():

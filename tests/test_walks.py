@@ -6,13 +6,15 @@ Claims checked here:
     - row sums and first columns are Catalan numbers
     - the k = 0 and k = 1 columns coincide from n = 4 on
     - out-of-range inputs behave as documented
+    - walk_row's ratio stepping reproduces the closed form, and the
+      table built on it has the closed-form entries in the same order
 """
 
 from __future__ import annotations
 
 import pytest
 
-from spinwire import WalkTable, catalan, enumerate_walks, walk_count
+from spinwire import WalkTable, catalan, enumerate_walks, walk_count, walk_row
 
 # n -> counts for k = 0..5, including the trailing zeros of the table layout.
 TABLE = {
@@ -108,3 +110,28 @@ def test_walk_table_layout():
     assert table.entries[(2, 5)] == 0
     assert len(table.entries) == 6 * 6
     assert table.row(10) == {0: 14, 1: 14, 2: 9, 3: 4, 4: 1, 5: 0}
+
+
+def test_walk_row_matches_closed_form():
+    for n in range(2, 401, 2):
+        assert walk_row(n) == [walk_count(n, k) for k in range(n // 2)]
+
+
+@pytest.mark.parametrize("n", [0, -2, 3])
+def test_walk_row_rejects_bad_step_counts(n):
+    with pytest.raises(ValueError):
+        walk_row(n)
+
+
+@pytest.mark.parametrize("n_max", [2, 12, 74])
+@pytest.mark.parametrize("k_offset", [None, -3, 4])
+def test_walk_table_matches_closed_form_entries(n_max, k_offset):
+    # k_max below and above n_max/2 - 1, and the default.
+    k_max = None if k_offset is None else n_max // 2 - 1 + k_offset
+    expected = {
+        (n, k): walk_count(n, k)
+        for n in range(2, n_max + 1, 2)
+        for k in range(n_max // 2 if k_max is None else k_max + 1)
+    }
+    table = WalkTable.build(n_max, k_max)
+    assert list(table.entries.items()) == list(expected.items())
