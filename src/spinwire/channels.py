@@ -189,7 +189,7 @@ def inflection_point(
 # Magnetized environment
 # ---------------------------------------------------------------------------
 
-def magnetized_bloch_trace(spec: ChainSpec, times) -> list[tuple[float, float]]:
+def magnetized_bloch_trace(spec: ChainSpec, times) -> tuple[np.ndarray, np.ndarray]:
     """Squared Bloch length of the qubit against a fully magnetized chain.
 
     The initial state (qubit along +x, every chain spin up) lives in the
@@ -202,13 +202,12 @@ def magnetized_bloch_trace(spec: ChainSpec, times) -> list[tuple[float, float]]:
 
     At every zero of alpha0 the excitation has fully left the qubit and
     the state is again completely polarized (v^2 = 1); the global
-    minimum 3/4 sits at alpha0^2 = 1/2.
+    minimum 3/4 sits at alpha0^2 = 1/2.  Returns the arrays (times, v^2).
     """
     times = np.asarray(times, dtype=float)
     alpha = ChebyshevAlpha(spec)(times)
     a_sq = alpha * alpha
-    v_sq = a_sq + (1.0 - a_sq) ** 2
-    return [(float(t), float(v)) for t, v in zip(times, v_sq)]
+    return times, a_sq + (1.0 - a_sq) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Command-line front end.
 
 Every subcommand validates its full parameter set before computing,
-computes everything in memory, then writes: an interrupted or invalid
-invocation never leaves a partial output file.  Output is deterministic
-for identical argv; data files carry no timestamps, only a generated-by
-comment naming the tool and version.  Floats are printed with 17
-significant digits so files round-trip to the exact doubles.
+then formats its CSV in chunks of rows.  With --out the chunks stream
+to a temporary file beside the output, which is renamed over it only
+once complete (the --plot SVG likewise): memory stays bounded on large
+grids, and a failed or interrupted invocation never leaves a partial
+output file.  A target that exists and is not a regular file (a
+symlink, a device such as /dev/null, a FIFO) is written through
+instead.  On stdout the chunks follow one another once computing is
+done.  Output is deterministic for identical argv; data files carry no
+timestamps, only a generated-by comment naming the tool and version.
+Floats are printed with 17 significant digits so files round-trip to
+the exact doubles.
 
 Exit codes: 0 success, 1 computational failure, 2 argument errors.
 """
@@ -13,8 +19,11 @@ Exit codes: 0 success, 1 computational failure, 2 argument errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -25,6 +34,7 @@ from . import __version__
 from .channels import (DEFAULT_QUAD_TOL, chi_scan, magnetized_bloch_trace, recurrence_demo,
                        singlet_witness)
 from .closed_forms import alpha_closed, classify_couplings
+from .numerics import chunks
 # truncation_gap is unused here but stays importable: perfbench/tracer.py patches it by name.
 from .propagator import (DEFAULT_TRUNCATION_TOL, MATRIX, METHODS, SERIES, ChainSpec,
                          ChebyshevAlpha, choose_chain_length, truncation_bound, truncation_gap)
@@ -159,15 +169,25 @@ def _check(param: Param, value):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners: each returns (csv text, sidecar dict or None, plot spec)
+# Subcommand runners: each returns (csv chunks, sidecar dict or None, plot spec)
 # ---------------------------------------------------------------------------
 
-def _csv(header: str, columns, comments=(), spec: str = FLOAT_FORMAT) -> str:
-    """Generated-by line, comment lines, header, then one row per sample."""
-    row = ",".join([spec] * len(columns))
-    # Only arrays go through .tolist(): numpy makes floats of ints past 2**63.
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    return "\n".join([GENERATED_BY, *comments, header, *map(row.__mod__, rows)]) + "\n"
+def _csv(header: str, columns, comments=(), spec: str = FLOAT_FORMAT):
+    """Generated-by line, comment lines and header, then one row per sample.
+
+    Yields the header block, then one string per CHUNK of rows, each
+    formatted by a single % over the row template repeated.
+    """
+    yield "\n".join([GENERATED_BY, *comments, header]) + "\n"
+    width = len(columns)
+    row = ",".join([spec] * width) + "\n"
+    for block in chunks(len(columns[0])):
+        # Only arrays go through .tolist(): numpy makes floats of ints past 2**63.
+        cells = [c[block].tolist() if isinstance(c, np.ndarray) else c[block] for c in columns]
+        flat = [None] * (len(cells[0]) * width)
+        for i, cell in enumerate(cells):
+            flat[i::width] = cell
+        yield row * len(cells[0]) % tuple(flat)
 
 
 def _chain_length(k0: float, k: float, tmax: float, tol: float) -> int:
@@ -194,7 +214,7 @@ def _run_alpha(params):
 
     if method == SERIES:
         coeffs = build_series(Fraction(k0) ** 2, Fraction(k) ** 2, params["order"])
-        values, errors = zip(*(evaluate_series(coeffs, t) for t in times.tolist()))
+        values, errors = evaluate_series(coeffs, times)
     elif method == MATRIX:
         n_sites = params["n_sites"]
         if n_sites is None:
@@ -205,10 +225,9 @@ def _run_alpha(params):
         errors = np.full(steps, min(truncation_bound(k0, k, n_sites, tmax), 2.0))
     else:
         case = classify_couplings(k0, k)
-        values = [alpha_closed(case, t) for t in times.tolist()]
+        values = alpha_closed(case, times)
         errors = np.zeros(steps)
 
-    values = np.asarray(values)
     columns = [times, values, alpha_z(values), errors]
     plot = (times, values, "t", "alpha0", f"alpha0, method={method}")
     return _csv("t,alpha0,alphaZ,error_estimate", columns, comments), None, plot
@@ -224,8 +243,9 @@ def _run_chi_scan(params):
 def _run_bloch(params):
     k0, k, tmax = params["k0"], params["k"], params["tmax"]
     n = _chain_length(k0, k, tmax, params["tol"])
-    pairs = magnetized_bloch_trace(ChainSpec(k0, k, n), np.linspace(0.0, tmax, params["steps"]))
-    times, v_sq = zip(*pairs)
+    times, v_sq = magnetized_bloch_trace(
+        ChainSpec(k0, k, n), np.linspace(0.0, tmax, params["steps"])
+    )
     plot = (times, v_sq, "t", "v^2", "Bloch length, magnetized chain")
     return _csv("t,v_sq", [times, v_sq], _chain_comment(n, tmax)), None, plot
 
@@ -311,31 +331,61 @@ COMMANDS: dict[str, tuple[str, object, tuple[Param, ...]]] = {
 RUNNERS = {command: runner for command, (_, runner, _) in COMMANDS.items()}
 
 
+def _replacing(path: str, write) -> None:
+    """Call write(temporary) for a temporary path beside path, then rename it to path.
+
+    On any failure, an interrupt included, the temporary file is removed
+    and path is left as it was.  Only a missing path or a regular file is
+    replaced so; anything else (a symlink, a device, a FIFO) is written
+    through by write(path).
+    """
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        write(path)
+        return
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
+def _write_text(path: str, texts) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for text in texts:
+            handle.write(text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     params = resolve_params(parser, args)
 
     try:
-        csv_text, sidecar, plot_spec = RUNNERS[args.command](params)
+        csv_chunks, sidecar, plot_spec = RUNNERS[args.command](params)
         sidecar_text = (
             json.dumps(sidecar, sort_keys=True) if sidecar is not None else None
         )
         if params["out"]:
-            with open(params["out"], "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(csv_text)
+            _replacing(params["out"], lambda path: _write_text(path, csv_chunks))
             if sidecar_text is not None:
-                with open(
-                    params["out"] + ".json", "w", encoding="utf-8", newline="\n"
-                ) as handle:
-                    handle.write(sidecar_text + "\n")
+                _replacing(params["out"] + ".json",
+                           lambda path: _write_text(path, [sidecar_text + "\n"]))
         else:
+            for chunk in csv_chunks:
+                sys.stdout.write(chunk)
             if sidecar_text is not None:
-                csv_text += f"# sidecar {sidecar_text}\n"
-            sys.stdout.write(csv_text)
+                sys.stdout.write(f"# sidecar {sidecar_text}\n")
         if params.get("plot"):
             xs, ys, xlabel, ylabel, title = plot_spec
-            emit_plot(xs, ys, xlabel=xlabel, ylabel=ylabel, title=title, path=params["plot"])
+            _replacing(params["plot"], lambda path: emit_plot(
+                xs, ys, xlabel=xlabel, ylabel=ylabel, title=title, path=path))
     except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"spinwire {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,13 @@ rather than assumed from an environment.  Ascending power series below
 |x| = 12, Hankel asymptotic amplitude/phase expansion at and above;
 both branches meet the contract at the switch point.
 
+The Bessel functions and :func:`alpha_closed` take a float or an array:
+a float in gives a float, an array in gives an array of the same shape.
+Arrays are evaluated in blocks of ``numerics.CHUNK`` samples with the
+same IEEE operations, in the same order, as a lone float, and cos and
+sin come from libm (``math``) rather than numpy, so every sample is
+bit-identical to its scalar evaluation.
+
 The long-time envelopes of the two Bessel cases decay as t^(-1/2) and
 t^(-3/2); :func:`envelope_exponent` measures such exponents from a
 sampled trace by fitting its peak heights on log-log axes.
@@ -25,9 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import chunks, libm
 from .propagator import AlphaTrace
 
 SERIES_ASYMPTOTIC_SWITCH = 12.0
+SERIES_TERMS = 32  # terms 0..31: all that any |x| < 12 keeps
 RATIO_MATCH_TOL = 1e-12
 MIN_PEAKS_FOR_FIT = 4
 
@@ -36,64 +45,88 @@ MIN_PEAKS_FOR_FIT = 4
 # Bessel functions J0, J1
 # ---------------------------------------------------------------------------
 
-def _ascending_series(nu: int, x: float) -> float:
-    # J_nu(x) = sum_m (-1)^m (x/2)^(2m+nu) / (m! (m+nu)!); terms collected
-    # and fsum-ed so the only rounding left is in the terms themselves.
+def _ascending_series(nu: int, x: np.ndarray) -> np.ndarray:
+    # For each sample, terms 0 .. SERIES_TERMS-1 of
+    # J_nu(x) = sum_m (-1)^m (x/2)^(2m+nu) / (m! (m+nu)!), by the running
+    # product term_m = term_(m-1) * (-q / (m (m + nu))); a sample keeps
+    # all up to its first below 1e-19 with m >= 4.  Every |term| grows
+    # with x, and even x just below 12 stops by m = 31.  The kept terms
+    # are fsum-ed, one sample at a time, so the only rounding left is in
+    # the terms themselves; zeroing the terms a sample does not keep
+    # leaves its fsum unchanged.
     half = 0.5 * x
     q = half * half
-    term = 1.0 if nu == 0 else half
-    terms = [term]
-    m = 0
-    while abs(term) > 1e-19 or m < 4:
-        m += 1
-        term *= -q / (m * (m + nu))
-        terms.append(term)
-        if m > 80:  # converged long before this for |x| < 12
-            break
-    return math.fsum(terms)
+    m = np.arange(1, SERIES_TERMS)
+    first = (np.ones_like(x) if nu == 0 else half)[:, None]
+    terms = np.multiply.accumulate(np.hstack([first, -q[:, None] / (m * (m + nu))]), axis=1)
+    carry_on = (np.abs(terms[:, :-1]) > 1e-19) | (m < 5)  # column i: term i, m = i + 1
+    keep = np.logical_and.accumulate(np.hstack([np.ones_like(first, bool), carry_on]), axis=1)
+    kept = np.where(keep, terms, 0.0)
+    return np.fromiter(map(math.fsum, map(np.ndarray.tolist, kept)), float, len(kept))
 
 
-def _hankel(nu: int, x: float) -> float:
+def _alternating_sum(terms: np.ndarray) -> np.ndarray:
+    # 0.0 + t0 - t1 + t2 - ... down the rows, each sample stopping before
+    # its first term that is no smaller than the one before (optimal
+    # truncation).  A stopped sample adds zeros, which change no partial
+    # sum but a zero one, and the closing 0.0 + makes any zero sum +0.0.
+    magnitude = np.abs(terms)
+    previous = np.vstack([np.full_like(terms[:1], math.inf), magnitude[:-1]])
+    live = np.logical_and.accumulate(~(magnitude >= previous), axis=0)
+    signed = np.where(live, terms, 0.0)
+    signed[1::2] = -signed[1::2]
+    return 0.0 + np.add.accumulate(signed, axis=0)[-1]
+
+
+def _hankel(nu: int, x: np.ndarray) -> np.ndarray:
     # Amplitude/phase form sqrt(2/(pi x)) (P cos w - Q sin w) with
     # w = x - (2 nu + 1) pi / 4.  P collects the even Poincare terms,
     # Q the odd ones; each sum stops at its smallest term (optimal
-    # truncation), which is far below 1e-12 for x >= 12.
+    # truncation), which is far below 1e-12 for x >= 12.  Row m - 1 of
+    # ratios is a_m = a_(m-1) (mu - (2m - 1)^2) / (8 m x), a_0 = 1.
     mu = 4 * nu * nu
-    ratios = []
-    a = 1.0
-    for m in range(1, 40):
-        a *= (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-        ratios.append(a)
-
-    def alternating_sum(terms: list[float]) -> float:
-        total, last = 0.0, math.inf
-        for i, t in enumerate(terms):
-            magnitude = abs(t)
-            if magnitude >= last:
-                break
-            total += -t if i % 2 else t
-            last = magnitude
-        return total
-
-    p = alternating_sum([1.0] + ratios[1::2])
-    q = alternating_sum(ratios[0::2])
+    m = np.arange(1, 40)[:, None]
+    ratios = np.multiply.accumulate((mu - (2 * m - 1) ** 2) / (8.0 * m * x), axis=0)
+    p = _alternating_sum(np.vstack([np.ones_like(x)[None], ratios[1::2]]))
+    q = _alternating_sum(ratios[0::2])
     w = x - (2 * nu + 1) * math.pi / 4.0
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
+    return np.sqrt(2.0 / (math.pi * x)) * (p * libm(math.cos, w) - q * libm(math.sin, w))
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel J0, absolute error below 1e-12 for |x| <= 50."""
-    ax = abs(x)  # J0 is even
-    if ax < SERIES_ASYMPTOTIC_SWITCH:
-        return _ascending_series(0, ax)
-    return _hankel(0, ax)
+def _bessel(nu: int, x) -> np.ndarray:
+    # J_nu(|x|), one CHUNK of samples at a time, each sample by the
+    # ascending series below the switch and by Hankel at or above it.
+    ax = np.abs(np.asarray(x, dtype=float))
+    flat = ax.ravel()
+    values = np.empty_like(flat)
+    for block in chunks(flat.size):
+        xs, out = flat[block], values[block]
+        small = xs < SERIES_ASYMPTOTIC_SWITCH
+        for route, where in ((_ascending_series, small), (_hankel, ~small)):
+            if where.any():
+                out[where] = route(nu, xs[where])
+    return values.reshape(ax.shape)
 
 
-def bessel_j1(x: float) -> float:
-    """Bessel J1, absolute error below 1e-12 for |x| <= 50."""
-    ax = abs(x)
-    value = _ascending_series(1, ax) if ax < SERIES_ASYMPTOTIC_SWITCH else _hankel(1, ax)
-    return -value if x < 0 else value  # J1 is odd
+def _like_input(x, values):
+    return float(values) if np.ndim(x) == 0 else values
+
+
+def bessel_j0(x):
+    """Bessel J0, absolute error below 1e-12 for |x| <= 50.
+
+    A float in gives a float; an array in gives an array of its shape.
+    """
+    return _like_input(x, _bessel(0, x))  # J0 is even
+
+
+def bessel_j1(x):
+    """Bessel J1, absolute error below 1e-12 for |x| <= 50.
+
+    A float in gives a float; an array in gives an array of its shape.
+    """
+    value = _bessel(1, x)
+    return _like_input(x, np.where(np.asarray(x) < 0, -value, value))  # J1 is odd
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +161,28 @@ def classify_couplings(k0: float, k: float) -> SpecialCase:
     return SpecialCase(kind=kind, k0=k0, k=k)
 
 
-def alpha_closed(case: SpecialCase, t: float) -> float:
+def alpha_closed(case: SpecialCase, t):
     """Closed-form alpha0 for the solvable coupling ratios.
 
-    The equal-couplings form has a removable singularity at t = 0, where
+    A float t gives a float; an array gives an array of its shape.  The
+    equal-couplings form has a removable singularity at t = 0, where
     the value is 1.  Generic ratios have no closed form; the matrix
     propagator handles those.
     """
+    t_arr = np.asarray(t, dtype=float)
     if case.kind == WIRE_OFF:
-        return math.cos(case.k0 * t)
-    if case.kind == SQRT2_RATIO:
-        return bessel_j0(2.0 * case.k * t)
-    if case.kind == EQUAL_COUPLINGS:
-        y = case.k * t
-        if y == 0.0:
-            return 1.0
-        return bessel_j1(2.0 * y) / y
-    raise ValueError(
-        f"no closed form for k0={case.k0}, k={case.k}; use the matrix propagator"
-    )
+        values = libm(math.cos, case.k0 * t_arr)
+    elif case.kind == SQRT2_RATIO:
+        values = bessel_j0(2.0 * case.k * t_arr)
+    elif case.kind == EQUAL_COUPLINGS:
+        y = case.k * t_arr
+        at_zero = y == 0.0
+        values = np.where(at_zero, 1.0, bessel_j1(2.0 * y) / np.where(at_zero, 1.0, y))
+    else:
+        raise ValueError(
+            f"no closed form for k0={case.k0}, k={case.k}; use the matrix propagator"
+        )
+    return _like_input(t, values)
 
 
 def envelope_exponent(trace: AlphaTrace, t_min: float, t_max: float) -> float:

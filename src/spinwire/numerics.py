@@ -1,10 +1,36 @@
-"""Shared numerical utilities: adaptive quadrature and root refinement."""
+"""Shared numerical utilities: adaptive quadrature, root refinement, and
+elementwise libm calls on arrays in bounded blocks."""
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 Scalar = Callable[[float], float]
+
+# Samples per block for the array routes and the CSV and SVG formatters:
+# their working memory stays bounded whatever the grid size.
+CHUNK = 4096
+
+
+def chunks(n: int):
+    """Consecutive slices of at most CHUNK items covering range(n)."""
+    return (slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK))
+
+
+def libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn, a float function built on libm such as math.cos, on each element of x.
+
+    Each value is the one a scalar call gives, bit for bit: numpy's own
+    cos, sin and power differ from libm in the last bit on some inputs.
+    The elements pass through Python floats one CHUNK at a time.
+    """
+    flat = x.ravel()
+    values = np.empty(flat.size)
+    for block in chunks(flat.size):
+        values[block] = list(map(fn, flat[block].tolist()))
+    return values.reshape(x.shape)
 
 
 def adaptive_simpson(

@@ -21,7 +21,9 @@ coefficient is reduced once, by a single Fraction.  Floating point
 enters only when a series is evaluated at a concrete time, so
 cancellation is confined to the final sum and reported through an error
 estimate; the alternating series is trustworthy roughly while the last
-retained term is small.
+retained term is small.  :func:`evaluate_series` takes a float or an
+array of times; an array gives arrays whose every element has the bits
+of the float call, with the tail power taken from libm, not numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
+from .numerics import libm
 from .walks import walk_row
 
 DEFAULT_ORDER = 20
@@ -149,27 +154,36 @@ def build_series(
     return SeriesCoefficients(k0_sq=p, k_sq=q, coeffs=_walk_sum_coefficients(p, q, order))
 
 
-def horner(coeffs, u: float) -> float:
-    """sum_j coeffs[j] * u**j by Horner's rule."""
+def horner(coeffs, u):
+    """sum_j coeffs[j] * u**j by Horner's rule, for a float u or elementwise on an array."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
 
 
-def evaluate_series(coeffs: SeriesCoefficients, t: float) -> tuple[float, float]:
-    """Evaluate the truncated series at time t.
+def evaluate_series(coeffs: SeriesCoefficients, t):
+    """Evaluate the truncated series at time t, a float or an array.
 
     Horner in t^2 on float-converted coefficients.  The error estimate
     is twice the magnitude of the last retained term, a heuristic bound
     for the alternating tail; the caller decides whether that is good
     enough.  Outside the window where the estimate is small the
     truncated polynomial is not a meaningful value of alpha0.
+
+    An array t gives (values, errors) arrays of its shape, each element
+    bit-identical to a float call: Horner does the same float64
+    operations in the same order, and the tail power t^(2 order) comes
+    from libm for every element (numpy's power differs in the last bit
+    on some inputs).  A power past the float range raises OverflowError
+    either way.
     """
     if coeffs.order < 2:
         raise ValueError(f"series must be built to order >= 2, got {coeffs.order}")
     u = t * t
-    last_term = abs(coeffs.floats[-1]) * u ** coeffs.order
+    order = coeffs.order
+    power = libm(lambda v: v**order, u) if isinstance(u, np.ndarray) else u**order
+    last_term = abs(coeffs.floats[-1]) * power
     return horner(coeffs.floats, u), 2.0 * last_term
 
 

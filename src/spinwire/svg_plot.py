@@ -7,7 +7,9 @@ runs produce identical files.
 
 from __future__ import annotations
 
-import math
+import numpy as np
+
+from .numerics import chunks
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT = 72, 24
@@ -17,20 +19,22 @@ N_TICKS = 5
 
 def emit_plot(xs, ys, *, xlabel: str, ylabel: str, title: str, path: str) -> None:
     """Write one polyline chart of ys against xs to path as SVG."""
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if not xs or len(xs) != len(ys):
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    if not xs.size or xs.size != ys.size:
         raise ValueError("plot needs two equal-length non-empty columns")
-    if any(not math.isfinite(v) for v in xs + ys):
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("plot data must be finite")
-    content = _render(xs, ys, xlabel, ylabel, title)
+    parts = _render(xs, ys, xlabel, ylabel, title)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
+        for part in parts:
+            handle.write(part)
 
 
-def _render(xs, ys, xlabel, ylabel, title) -> str:
-    x_lo, x_hi = _padded_range(min(xs), max(xs))
-    y_lo, y_hi = _padded_range(min(ys), max(ys))
+def _render(xs, ys, xlabel, ylabel, title):
+    """The SVG text in pieces; the polyline points come one CHUNK at a time."""
+    x_lo, x_hi = _padded_range(float(xs.min()), float(xs.max()))
+    y_lo, y_hi = _padded_range(float(ys.min()), float(ys.max()))
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -39,8 +43,6 @@ def _render(xs, ys, xlabel, ylabel, title) -> str:
 
     def py(y):
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
-
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -86,11 +88,16 @@ def _render(xs, ys, xlabel, ylabel, title) -> str:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">{_escape(ylabel)}</text>'
     )
-    parts.append(
-        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{points}"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append('<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="')
+    yield "\n".join(parts)
+    # px and py run elementwise on arrays with the same float64 operations.
+    xy = np.column_stack([px(xs), py(ys)])
+    for block in chunks(len(xy)):
+        pairs = xy[block]
+        yield (" " if block.start else "") + " ".join(["%.2f,%.2f"] * len(pairs)) % tuple(
+            pairs.ravel().tolist()
+        )
+    yield '"/>\n</svg>\n'
 
 
 def _padded_range(lo: float, hi: float) -> tuple[float, float]:

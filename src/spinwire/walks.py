@@ -14,6 +14,7 @@ kept side by side so that each can vouch for the other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,5 +125,13 @@ class WalkTable:
         return cls(entries)
 
     def row(self, n: int) -> dict[int, int]:
-        """Counts for one step count, as a k -> count map."""
-        return {k: c for (m, k), c in sorted(self.entries.items()) if m == n}
+        """Counts for one step count, as a k -> count map; {} for an absent n.
+
+        A table holds k = 0, 1, ... up to k_max for every n it has, so the
+        row is read key by key up to the first missing k.
+        """
+        row = {}
+        for k in itertools.count():
+            if (n, k) not in self.entries:
+                return row
+            row[k] = self.entries[(n, k)]

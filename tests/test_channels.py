@@ -211,15 +211,15 @@ def single_excitation_bloch_sq(spec: ChainSpec, times) -> np.ndarray:
 
 def test_magnetized_trace_starts_pure():
     spec = ChainSpec(math.sqrt(2.0), 1.0, 40)
-    pairs = magnetized_bloch_trace(spec, [0.0])
-    assert pairs[0][1] == pytest.approx(1.0, abs=1e-12)
+    _, v_sq = magnetized_bloch_trace(spec, [0.0])
+    assert v_sq[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_magnetized_formula_matches_state_vector_oracle():
     k0 = math.sqrt(2.0)
     spec = ChainSpec(k0, 1.0, choose_chain_length(1.0, 10.0, k0=k0))
     times = np.linspace(0.0, 10.0, 61)
-    formula = np.array([v for _, v in magnetized_bloch_trace(spec, times)])
+    _, formula = magnetized_bloch_trace(spec, times)
     oracle = single_excitation_bloch_sq(spec, times)
     assert np.max(np.abs(formula - oracle)) < 1e-9
 
@@ -236,14 +236,14 @@ def test_magnetized_repolarizes_at_alpha_zeros():
             zeros.append(bisect_root(alpha, grid[i - 1], grid[i], xtol=1e-12))
     assert len(zeros) >= 5
     for t in zeros:
-        v_sq = magnetized_bloch_trace(spec, [t])[0][1]
+        v_sq = magnetized_bloch_trace(spec, [t])[1][0]
         assert abs(v_sq - 1.0) < 1e-6
 
 
 def test_magnetized_minimum_is_three_quarters():
     # v^2 = a^2 + (1 - a^2)^2 is minimal at a^2 = 1/2
     spec = ChainSpec(1.0, 1.0, 120)
-    values = [v for _, v in magnetized_bloch_trace(spec, np.linspace(0.0, 30.0, 3001))]
+    _, values = magnetized_bloch_trace(spec, np.linspace(0.0, 30.0, 3001))
     assert min(values) >= 0.75 - 1e-9
     a_sq = 0.5
     assert a_sq + (1 - a_sq) ** 2 == 0.75

@@ -10,19 +10,32 @@ Claims checked here:
     - every bound declared in the parameter table is enforced, as a flag
       and as a config key
     - the witness sidecar and SVG plotting work end to end
+    - CSV rows stream in chunks with the bytes of per-row formatting; a
+      failure mid-stream leaves no output and no temporary file, and
+      memory stays bounded on a million-row grid
+    - only a missing or regular-file target is replaced through a
+      temporary file; a device or a symlink is written through
+    - the SVG points equal per-point formatting
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import re
+import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy.special
 
-from spinwire.cli import COMMANDS, build_parser, floats, main, resolve_params
+from spinwire import cli, svg_plot
+from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
+                          resolve_params)
+from spinwire.numerics import CHUNK
 from spinwire.walks import walk_count
 
 TABLE_CSV = """# generated-by: spinwire 0.1.0
@@ -397,6 +410,134 @@ def test_chi_scan_csv_schema(capsys):
     assert lines[1] == "ratio,chi,log_chi"
     ratio, chi, log_chi = (float(x) for x in lines[2].split(","))
     assert chi > 0 and log_chi == pytest.approx(math.log(chi), rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_streamed_csv_equals_per_row_format(rows):
+    columns = [np.linspace(0.0, 3.0, rows), [math.pi * i for i in range(rows)], np.arange(rows) / 7]
+    row = ",".join([FLOAT_FORMAT] * 3)
+    expected = "\n".join(
+        [GENERATED_BY, "# note", "a,b,c", *(row % r for r in zip(*(list(c) for c in columns)))]
+    ) + "\n"
+    chunks = list(cli._csv("a,b,c", columns, ["# note"]))
+    assert "".join(chunks) == expected
+    assert len(chunks) == 1 + -(-rows // CHUNK)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("stage", ["csv", "plot"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failure_mid_stream_leaves_no_partial_file(
+    tmp_path, monkeypatch, capsys, error, stage, existing
+):
+    module = cli if stage == "csv" else svg_plot
+    real_chunks = module.chunks
+
+    def failing_chunks(n):
+        blocks = real_chunks(n)
+        yield next(blocks)
+        raise error("injected")
+
+    monkeypatch.setattr(module, "chunks", failing_chunks)
+    out, plot = tmp_path / "p.csv", tmp_path / "p.svg"
+    target = out if stage == "csv" else plot
+    if existing:
+        target.write_text("old contents\n")
+    argv = ["recurrence", "--steps", str(3 * CHUNK), "--out", str(out), "--plot", str(plot)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert "injected" in capsys.readouterr().err
+    # a failing plot comes after the CSV, which is complete by then
+    expected = {"p.csv"} if stage == "plot" else set()
+    assert {p.name for p in tmp_path.iterdir()} == expected | ({target.name} if existing else set())
+    if existing:
+        assert target.read_text() == "old contents\n"
+
+
+WITNESS_ARGV = ["witness", "--tmax", "0.5", "--steps", "3"]
+
+
+def test_device_target_is_written_through(tmp_path, monkeypatch):
+    out, plot = tmp_path / "w.csv", tmp_path / "w.svg"
+    devices = {str(out), str(out) + ".json", str(plot)}
+    real_lstat, replaced = os.lstat, []
+
+    def lstat(path, *args, **kwargs):
+        if os.fspath(path) in devices:
+            return os.stat_result((stat.S_IFCHR | 0o666,) + (0,) * 9)
+        return real_lstat(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "lstat", lstat)
+    monkeypatch.setattr(cli.os, "replace", lambda *args: replaced.append(args))
+    assert main([*WITNESS_ARGV, "--out", str(out), "--plot", str(plot)]) == 0
+    assert replaced == []
+    assert {p.name for p in tmp_path.iterdir()} == {"w.csv", "w.csv.json", "w.svg"}
+    assert out.read_text().startswith(GENERATED_BY + "\n")
+    assert json.loads((tmp_path / "w.csv.json").read_text())["death_time"] is None
+    assert plot.read_text().endswith("</svg>\n")
+
+
+def test_symlinked_target_is_written_through(tmp_path, capsys):
+    printed = run_cli(capsys, *WITNESS_ARGV)
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old contents\n")
+    link.symlink_to(real.name)
+    assert main([*WITNESS_ARGV, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert printed.startswith(real.read_text()) and real.read_text() != "old contents\n"
+
+
+def test_sidecar_is_last_line_after_streamed_chunks(capsys):
+    steps = 2 * CHUNK + 1
+    out = run_cli(
+        capsys, "witness", "--k0a", "1", "--ka", "1", "--k0b", "1", "--kb", "1",
+        "--tmax", "0.5", "--steps", str(steps),
+    )
+    lines = out.splitlines()
+    assert len(lines) == 2 + steps + 1
+    assert lines[-1].startswith("# sidecar ")
+
+
+def test_plot_points_equal_per_point_format(tmp_path):
+    xs = np.linspace(-3.0, 7.0, CHUNK + 1)
+    ys = np.sin(3.0 * xs) * 1e3
+    path = tmp_path / "p.svg"
+    svg_plot.emit_plot(xs, ys, xlabel="x", ylabel="y", title="t", path=str(path))
+    x_lo, x_hi = svg_plot._padded_range(min(xs.tolist()), max(xs.tolist()))
+    y_lo, y_hi = svg_plot._padded_range(min(ys.tolist()), max(ys.tolist()))
+    plot_w = svg_plot.WIDTH - svg_plot.MARGIN_LEFT - svg_plot.MARGIN_RIGHT
+    plot_h = svg_plot.HEIGHT - svg_plot.MARGIN_TOP - svg_plot.MARGIN_BOTTOM
+    expected = " ".join(
+        f"{svg_plot.MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+        f"{svg_plot.MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h:.2f}"
+        for x, y in zip(xs.tolist(), ys.tolist())
+    )
+    body = path.read_text()
+    assert re.search(r'points="([^"]*)"', body).group(1) == expected
+    assert body.endswith('"/>\n</svg>\n')
+
+
+def test_recurrence_memory_stays_bounded(tmp_path):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    script = (
+        "import resource, sys\n"
+        "from spinwire.cli import main\n"
+        "unit = 1 if sys.platform == 'darwin' else 1024\n"
+        "def peak(): return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 2**20\n"
+        "base = peak()\n"
+        "code = main(['recurrence', '--steps', '1000001', '--out', sys.argv[1]])\n"
+        "print(code, peak() - base)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "r.csv")],
+        capture_output=True, text=True, check=True,
+    )
+    code, growth_mb = result.stdout.split()
+    assert code == "0"
+    assert float(growth_mb) < 80.0
 
 
 def test_module_entry_point_runs():

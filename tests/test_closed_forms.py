@@ -9,6 +9,9 @@ Claims checked here:
       other's zeros, and the matrix propagator
     - both Bessel cases decay to zero at long times with envelope
       exponents -1/2 and -3/2
+    - on arrays, J0, J1 and the closed forms equal the scalar loop kept
+      here as a reference, bit for bit, across chunk edges and the
+      series/Hankel switch
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from spinwire import (
     classify_couplings,
     envelope_exponent,
 )
-from spinwire.numerics import bisect_root
+from spinwire.closed_forms import SERIES_ASYMPTOTIC_SWITCH, SERIES_TERMS
+from spinwire.numerics import CHUNK, bisect_root
 
 
 def bessel_reference(nu: int, x: float) -> float:
@@ -51,6 +55,98 @@ def bessel_reference(nu: int, x: float) -> float:
         total += term
         if m > abs(x) and abs(term) < Fraction(1, 10**30):
             return float(total)
+
+
+def ascending_terms_reference(nu: int, x: float) -> list[float]:
+    # The scalar loop the array route replaced: same terms, same stop.
+    half = 0.5 * x
+    q = half * half
+    term = 1.0 if nu == 0 else half
+    terms = [term]
+    m = 0
+    while abs(term) > 1e-19 or m < 4:
+        m += 1
+        term *= -q / (m * (m + nu))
+        terms.append(term)
+        if m > 80:
+            break
+    return terms
+
+
+def ascending_series_reference(nu: int, x: float) -> float:
+    return math.fsum(ascending_terms_reference(nu, x))
+
+
+def hankel_reference(nu: int, x: float) -> float:
+    # The scalar Hankel amplitude/phase loop the array route replaced.
+    mu = 4 * nu * nu
+    ratios = []
+    a = 1.0
+    for m in range(1, 40):
+        a *= (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
+        ratios.append(a)
+
+    def alternating_sum(terms: list[float]) -> float:
+        total, last = 0.0, math.inf
+        for i, t in enumerate(terms):
+            magnitude = abs(t)
+            if magnitude >= last:
+                break
+            total += -t if i % 2 else t
+            last = magnitude
+        return total
+
+    p = alternating_sum([1.0] + ratios[1::2])
+    q = alternating_sum(ratios[0::2])
+    w = x - (2 * nu + 1) * math.pi / 4.0
+    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
+
+
+def bessel_loop_reference(nu: int, x: float) -> float:
+    ax = abs(x)
+    if ax < SERIES_ASYMPTOTIC_SWITCH:
+        value = ascending_series_reference(nu, ax)
+    else:
+        value = hankel_reference(nu, ax)
+    return -value if nu == 1 and x < 0 else value
+
+
+def alpha_closed_loop_reference(case, t: float) -> float:
+    if case.kind == "wire_off":
+        return math.cos(case.k0 * t)
+    if case.kind == "sqrt2_ratio":
+        return bessel_loop_reference(0, 2.0 * case.k * t)
+    y = case.k * t
+    return 1.0 if y == 0.0 else bessel_loop_reference(1, 2.0 * y) / y
+
+
+def same_bits(values: np.ndarray, expected: list[float]) -> bool:
+    return values.dtype == np.float64 and values.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_series_columns_hold_every_kept_term_below_switch(nu):
+    # Every |term| grows with x, so the largest x below the switch keeps the most.
+    x = math.nextafter(SERIES_ASYMPTOTIC_SWITCH, 0.0)
+    assert len(ascending_terms_reference(nu, x)) <= SERIES_TERMS
+
+
+@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("nu,f", [(0, bessel_j0), (1, bessel_j1)])
+def test_array_bessel_matches_scalar_loop_bitwise(nu, f, size):
+    xs = np.concatenate([np.linspace(-50.0, 50.0, size - 3), [11.999999, 12.0, 12.000001]])
+    assert same_bits(f(xs), [bessel_loop_reference(nu, x) for x in xs.tolist()])
+    assert f(xs.reshape(1, -1)).shape == (1, size)
+    assert type(f(3.5)) is float and f(3.5) == bessel_loop_reference(nu, 3.5)
+
+
+@pytest.mark.parametrize("k0,k", [(0.9, 0.0), (math.sqrt(2.0) * 0.8, 0.8), (1.3, 1.3)])
+def test_array_alpha_closed_matches_scalar_loop_bitwise(k0, k):
+    case = classify_couplings(k0, k)
+    times = np.linspace(0.0, 30.0, CHUNK + 1)
+    values = alpha_closed(case, times)
+    assert same_bits(values, [alpha_closed_loop_reference(case, t) for t in times.tolist()])
+    assert values[0] == 1.0
 
 
 def test_values_at_zero():
@@ -144,7 +240,7 @@ def test_closed_forms_vanish_at_long_times(k0):
 def _closed_form_trace(k0: float, t_lo: float, t_hi: float, n: int) -> AlphaTrace:
     case = classify_couplings(k0, 1.0)
     times = np.linspace(t_lo, t_hi, n)
-    values = np.array([alpha_closed(case, float(t)) for t in times])
+    values = alpha_closed(case, times)
     return AlphaTrace(times, values, "closed", 0.0)
 
 

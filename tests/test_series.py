@@ -11,6 +11,8 @@ Claims checked here:
     - numeric evaluation agrees with the in-repo Bessel oracles and the
       matrix propagator inside the convergence window
     - coefficients alternate in sign for positive couplings
+    - an array of times gives, value and error alike, the bits of one
+      scalar call per time
 """
 
 from __future__ import annotations
@@ -175,6 +177,16 @@ def test_error_estimate_is_twice_last_term():
     t = 0.7
     _, err = evaluate_series(series, t)
     assert err == pytest.approx(2 * abs(float(series.coeffs[5])) * t**10, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [2, 20, 40])
+def test_array_evaluation_matches_scalar_calls_bitwise(order):
+    series = build_series(Fraction(0.7) ** 2, Fraction(1.3) ** 2, order=order)
+    times = np.concatenate([np.linspace(0.0, 4.0, 4097), [-0.0, -1.5, 1e-200]])
+    values, errors = evaluate_series(series, times)
+    scalar = [evaluate_series(series, t) for t in times.tolist()]
+    assert values.tobytes() == np.array([v for v, _ in scalar]).tobytes()
+    assert errors.tobytes() == np.array([e for _, e in scalar]).tobytes()
 
 
 @pytest.mark.parametrize("k0_sq,k_sq", COUPLING_GRID)

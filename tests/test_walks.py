@@ -8,6 +8,7 @@ Claims checked here:
     - out-of-range inputs behave as documented
     - walk_row's ratio stepping reproduces the closed form, and the
       table built on it has the closed-form entries in the same order
+    - a table row read key by key equals a scan of the sorted table
 """
 
 from __future__ import annotations
@@ -110,6 +111,16 @@ def test_walk_table_layout():
     assert table.entries[(2, 5)] == 0
     assert len(table.entries) == 6 * 6
     assert table.row(10) == {0: 14, 1: 14, 2: 9, 3: 4, 4: 1, 5: 0}
+
+
+@pytest.mark.parametrize("table", [WalkTable.build(60), WalkTable.build(12, 3)])
+def test_walk_table_row_equals_sorted_scan(table):
+    def sorted_scan(n):
+        return {k: c for (m, k), c in sorted(table.entries.items()) if m == n}
+
+    for n in range(-2, 64):
+        assert table.row(n) == sorted_scan(n)
+    assert table.row(3) == {} and table.row(62) == {}
 
 
 def test_walk_row_matches_closed_form():
