@@ -310,10 +310,7 @@ def recurrence_demo(
     m = freqs.size
     p = (m + np.cos(2.0 * np.outer(times, freqs)).sum(axis=1)) / (2.0 * m)
 
-    first_exceedance = None
     below = p <= threshold
-    for i in range(1, len(times)):
-        if below[i - 1] and not below[i]:
-            first_exceedance = float(times[i])
-            break
+    crossings = np.flatnonzero(below[:-1] & ~below[1:])
+    first_exceedance = float(times[crossings[0] + 1]) if crossings.size else None
     return p, first_exceedance

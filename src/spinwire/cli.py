@@ -10,8 +10,9 @@ symlink, a device such as /dev/null, a FIFO) is written through
 instead.  On stdout the chunks follow one another once computing is
 done.  Output is deterministic for identical argv; data files carry no
 timestamps, only a generated-by comment naming the tool and version.
-Floats are printed with 17 significant digits so files round-trip to
-the exact doubles.
+Floats are printed as %.17g, so files round-trip to the exact doubles;
+floatfmt produces those bytes in bulk.  A NaN in any column is a
+computational failure.
 
 Exit codes: 0 success, 1 computational failure, 2 argument errors.
 """
@@ -34,6 +35,7 @@ from . import __version__
 from .channels import (DEFAULT_QUAD_TOL, chi_scan, magnetized_bloch_trace, recurrence_demo,
                        singlet_witness)
 from .closed_forms import alpha_closed, classify_couplings
+from .floatfmt import FORMAT as FLOAT_FORMAT, format_rows
 from .numerics import chunks
 # truncation_gap is unused here but stays importable: perfbench/tracer.py patches it by name.
 from .propagator import (DEFAULT_TRUNCATION_TOL, MATRIX, METHODS, SERIES, ChainSpec,
@@ -43,7 +45,6 @@ from .svg_plot import emit_plot
 from .walks import WalkTable
 
 GENERATED_BY = f"# generated-by: spinwire {__version__}"
-FLOAT_FORMAT = "%.17g"
 
 
 class Param(NamedTuple):
@@ -172,22 +173,32 @@ def _check(param: Param, value):
 # Subcommand runners: each returns (csv chunks, sidecar dict or None, plot spec)
 # ---------------------------------------------------------------------------
 
-def _csv(header: str, columns, comments=(), spec: str = FLOAT_FORMAT):
+def _csv(header: str, columns, comments=(), integers: bool = False):
     """Generated-by line, comment lines and header, then one row per sample.
 
-    Yields the header block, then one string per CHUNK of rows, each
-    formatted by a single % over the row template repeated.
+    Yields the header block, then one string per CHUNK of rows.  Float
+    columns are formatted together by floatfmt.format_rows, integer ones
+    by a single %d over the row template repeated.  A NaN in a float
+    column is a ValueError naming the column, raised before anything is
+    yielded; -inf and inf are kept.
     """
+    if not integers:
+        columns = [np.asarray(column, dtype=float) for column in columns]
+        for name, column in zip(header.split(","), columns):
+            if np.isnan(column).any():
+                raise ValueError(f"column {name} holds NaN")
     yield "\n".join([GENERATED_BY, *comments, header]) + "\n"
     width = len(columns)
-    row = ",".join([spec] * width) + "\n"
+    row = ",".join(["%d"] * width) + "\n"
     for block in chunks(len(columns[0])):
-        # Only arrays go through .tolist(): numpy makes floats of ints past 2**63.
-        cells = [c[block].tolist() if isinstance(c, np.ndarray) else c[block] for c in columns]
-        flat = [None] * (len(cells[0]) * width)
-        for i, cell in enumerate(cells):
-            flat[i::width] = cell
-        yield row * len(cells[0]) % tuple(flat)
+        cells = [column[block] for column in columns]
+        if integers:
+            flat = [None] * (len(cells[0]) * width)
+            for i, cell in enumerate(cells):
+                flat[i::width] = cell
+            yield row * len(cells[0]) % tuple(flat)
+        else:
+            yield format_rows(np.column_stack(cells))
 
 
 def _chain_length(k0: float, k: float, tmax: float, tol: float) -> int:
@@ -203,7 +214,7 @@ def _chain_comment(n_sites: int, tmax: float) -> list[str]:
 def _run_walks(params):
     table = WalkTable.build(params["n_max"])
     rows = [(n, k, count) for (n, k), count in sorted(table.entries.items())]
-    return _csv("n,k,count", list(zip(*rows)), spec="%d"), None, None
+    return _csv("n,k,count", list(zip(*rows)), integers=True), None, None
 
 
 def _run_alpha(params):

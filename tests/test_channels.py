@@ -328,6 +328,17 @@ def test_recurrence_none_when_threshold_unreached():
     assert first is None
 
 
+def test_recurrence_first_exceedance_equals_the_sample_loop():
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 40.0, 4001)
+    for threshold in [*rng.uniform(0.3, 0.95, size=12), 0.999999]:
+        freqs = rng.uniform(0.5, 4.0, size=rng.integers(2, 5))
+        p, first = recurrence_demo(freqs, times, threshold)
+        below = p <= threshold
+        crossings = (times[i] for i in range(1, len(times)) if below[i - 1] and not below[i])
+        assert first == next(crossings, None)
+
+
 def test_recurrence_frequency_count_bounds():
     times = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ Claims checked here:
     - a chain length is echoed only when one was chosen
     - identical invocations produce byte-identical files
     - config files merge under flags; junk arguments exit 2 and
-      computational dead ends exit 1
+      computational dead ends exit 1, a NaN in any column included
     - every bound declared in the parameter table is enforced, as a flag
       and as a config key
     - the witness sidecar and SVG plotting work end to end
@@ -235,6 +235,25 @@ def test_computational_errors_exit_1(capsys):
     assert capsys.readouterr().err.startswith("spinwire alpha: error:")
 
 
+@pytest.mark.parametrize("argv, column", [
+    # the series overflows to inf * 0 far outside its window
+    (["alpha", "--method", "series", "--k0", "1", "--k", "1", "--tmax", "1e300", "--steps", "3"],
+     "alpha0"),
+    # 2 * 1e308 * t overflows, and cos(inf) is NaN
+    (["recurrence", "--freqs", "1,1e308", "--tmax", "1", "--steps", "3"], "p"),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_nan_in_a_column_exits_1_and_writes_nothing(tmp_path, capsys, argv, column, to_file):
+    out = tmp_path / "nan.csv"
+    code = main(argv + (["--out", str(out)] if to_file else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"spinwire {argv[0]}: error: column {column} holds NaN\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["out", "plot"])
 def test_config_rejects_non_string_paths(tmp_path, key):
     # an int would be taken for a file descriptor; this one is never open
@@ -414,12 +433,16 @@ def test_chi_scan_csv_schema(capsys):
 
 @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 def test_streamed_csv_equals_per_row_format(rows):
-    columns = [np.linspace(0.0, 3.0, rows), [math.pi * i for i in range(rows)], np.arange(rows) / 7]
-    row = ",".join([FLOAT_FORMAT] * 3)
+    # zeros, the extremes, infinities, %g switch points, a decade carry and an exact tie
+    special = [0.0, -0.0, 5e-324, -sys.float_info.max, math.inf, -math.inf, 1e-5, 1e-4,
+               np.nextafter(1e17, 0.0), 1e16, 1e-176, (2 ** 53 - 1) / 4]
+    columns = [np.linspace(0.0, 3.0, rows), [math.pi * i for i in range(rows)], np.arange(rows) / 7,
+               [special[i % len(special)] for i in range(rows)]]
+    row = ",".join([FLOAT_FORMAT] * 4)
     expected = "\n".join(
-        [GENERATED_BY, "# note", "a,b,c", *(row % r for r in zip(*(list(c) for c in columns)))]
+        [GENERATED_BY, "# note", "a,b,c,d", *(row % r for r in zip(*(list(c) for c in columns)))]
     ) + "\n"
-    chunks = list(cli._csv("a,b,c", columns, ["# note"]))
+    chunks = list(cli._csv("a,b,c,d", columns, ["# note"]))
     assert "".join(chunks) == expected
     assert len(chunks) == 1 + -(-rows // CHUNK)
 
