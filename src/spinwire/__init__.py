@@ -53,7 +53,7 @@ from .series import (
     hypergeometric_coefficient,
     series_coefficient,
 )
-from .walks import WalkTable, catalan, enumerate_walks, walk_count, walk_row
+from .walks import catalan, enumerate_walks, walk_count, walk_row
 
 __all__ = [
     "AlphaTrace",
@@ -65,7 +65,6 @@ __all__ = [
     "SeriesCoefficients",
     "SpecialCase",
     "SpectralAlpha",
-    "WalkTable",
     "WitnessTrace",
     "alpha_closed",
     "alpha_trace",

@@ -42,7 +42,7 @@ from .propagator import (DEFAULT_TRUNCATION_TOL, MATRIX, METHODS, SERIES, ChainS
                          ChebyshevAlpha, choose_chain_length, truncation_bound, truncation_gap)
 from .series import DEFAULT_ORDER, alpha_z, build_series, evaluate_series
 from .svg_plot import emit_plot
-from .walks import WalkTable
+from .walks import walk_row
 
 GENERATED_BY = f"# generated-by: spinwire {__version__}"
 
@@ -212,9 +212,12 @@ def _chain_comment(n_sites: int, tmax: float) -> list[str]:
 
 
 def _run_walks(params):
-    table = WalkTable.build(params["n_max"])
-    rows = [(n, k, count) for (n, k), count in sorted(table.entries.items())]
-    return _csv("n,k,count", list(zip(*rows)), integers=True), None, None
+    # every n lists k = 0 .. n_max/2 - 1, zero-padded past its own last walk
+    half = params["n_max"] // 2
+    steps = range(2, params["n_max"] + 1, 2)
+    columns = [[n for n in steps for _ in range(half)], list(range(half)) * half,
+               [count for n in steps for count in walk_row(n) + [0] * (half - n // 2)]]
+    return _csv("n,k,count", columns, integers=True), None, None
 
 
 def _run_alpha(params):
@@ -373,6 +376,9 @@ def _write_text(path: str, texts) -> None:
             handle.write(text)
 
 
+# numpy overflow and invalid-value warnings are not shown: _csv reports
+# a NaN they lead to as the error, and an inf is a valid value
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -351,13 +351,12 @@ def choose_chain_length(
     tol: float = DEFAULT_TRUNCATION_TOL,
     *,
     k0: float | None = None,
-    buffer: int = LIGHT_CONE_BUFFER,
 ) -> int:
     """Smallest certified chain length for simulating up to t_max.
 
-    Starts from the light-cone estimate ceil(2 k t_max) + buffer and
-    grows the chain only while :func:`truncation_bound` is not below tol,
-    so the returned N is certified on the whole grid 0 <= t <= t_max
+    Starts from the light-cone estimate ceil(2 k t_max) + LIGHT_CONE_BUFFER
+    and grows the chain only while :func:`truncation_bound` is not below
+    tol, so the returned N is certified on the whole grid 0 <= t <= t_max
     without an eigensolve.  Only a strong plug at long times needs more
     than the start.
 
@@ -373,7 +372,7 @@ def choose_chain_length(
         return 2  # single-site environment; alpha0 is exactly periodic
     plug = k if k0 is None else k0
 
-    n = math.ceil(LIGHT_CONE_SPEED_FACTOR * k * t_max) + buffer
+    n = math.ceil(LIGHT_CONE_SPEED_FACTOR * k * t_max) + LIGHT_CONE_BUFFER
     while truncation_bound(plug, k, n, t_max) >= tol:
         n += 1
     return n

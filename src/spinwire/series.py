@@ -71,35 +71,11 @@ class SeriesCoefficients:
         return len(self.coeffs) - 1
 
 
-def _walk_sum_coefficients(p: Fraction, q: Fraction, order: int) -> tuple[Fraction, ...]:
-    """c_0 .. c_order from the walk-count sums, in integer arithmetic."""
-    d = math.lcm(p.denominator, q.denominator)
-    big_p = p.numerator * (d // p.denominator)
-    big_q = q.numerator * (d // q.denominator)
-    q_powers = [1]
-    for _ in range(order):
-        q_powers.append(q_powers[-1] * big_q)
-    coeffs = [Fraction(1)]
-    denominator = 1  # D^j (2j)!
-    for j in range(1, order + 1):
-        denominator *= d * (2 * j - 1) * (2 * j)
-        row = walk_row(2 * j)
-        # N_j = P * sum_k l(2j, k) P^k Q^(j-1-k), by Horner in P.
-        numerator = 0
-        for k in range(j - 1, -1, -1):
-            numerator = numerator * big_p + row[k] * q_powers[j - 1 - k]
-        numerator *= big_p
-        coeffs.append(Fraction(-numerator if j % 2 else numerator, denominator))
-    return tuple(coeffs)
-
-
 def series_coefficient(j: int, k0_sq: RationalLike, k_sq: RationalLike) -> Fraction:
     """Exact coefficient of t^(2j) from the walk-count sum."""
     if j < 0:
         raise ValueError(f"series index must be non-negative, got {j}")
-    p = _as_fraction(k0_sq, "k0_sq")
-    q = _as_fraction(k_sq, "k_sq")
-    return _walk_sum_coefficients(p, q, j)[j]
+    return build_series(k0_sq, k_sq, j).coeffs[j]
 
 
 def hypergeometric_coefficient(
@@ -151,7 +127,24 @@ def build_series(
     q = _as_fraction(k_sq, "k_sq")
     if p < 0 or q < 0:
         raise ValueError("squared couplings must be non-negative")
-    return SeriesCoefficients(k0_sq=p, k_sq=q, coeffs=_walk_sum_coefficients(p, q, order))
+    d = math.lcm(p.denominator, q.denominator)
+    big_p = p.numerator * (d // p.denominator)
+    big_q = q.numerator * (d // q.denominator)
+    q_powers = [1]
+    for _ in range(order):
+        q_powers.append(q_powers[-1] * big_q)
+    coeffs = [Fraction(1)]
+    denominator = 1  # D^j (2j)!
+    for j in range(1, order + 1):
+        denominator *= d * (2 * j - 1) * (2 * j)
+        row = walk_row(2 * j)
+        # N_j = P * sum_k l(2j, k) P^k Q^(j-1-k), by Horner in P.
+        numerator = 0
+        for k in range(j - 1, -1, -1):
+            numerator = numerator * big_p + row[k] * q_powers[j - 1 - k]
+        numerator *= big_p
+        coeffs.append(Fraction(-numerator if j % 2 else numerator, denominator))
+    return SeriesCoefficients(k0_sq=p, k_sq=q, coeffs=tuple(coeffs))
 
 
 def horner(coeffs, u):
@@ -182,7 +175,10 @@ def evaluate_series(coeffs: SeriesCoefficients, t):
         raise ValueError(f"series must be built to order >= 2, got {coeffs.order}")
     u = t * t
     order = coeffs.order
-    power = libm(lambda v: v**order, u) if isinstance(u, np.ndarray) else u**order
+    try:
+        power = libm(lambda v: v**order, u) if isinstance(u, np.ndarray) else u**order
+    except OverflowError as exc:
+        raise OverflowError(f"series tail power t**{2 * order} overflows a float") from exc
     last_term = abs(coeffs.floats[-1]) * power
     return horner(coeffs.floats, u), 2.0 * last_term
 

@@ -14,9 +14,7 @@ kept side by side so that each can vouch for the other.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 # 2^20 step sequences enumerate in well under a second; above that the
 # exhaustive oracle stops being useful.
@@ -99,39 +97,3 @@ def enumerate_walks(n: int, cap: int = ENUMERATION_CAP) -> dict[int, int]:
     descend(0, 0, 0)
     return counts
 
-
-@dataclass(frozen=True)
-class WalkTable:
-    """Exact counts keyed by (step count n, interior origin visits k)."""
-
-    entries: dict[tuple[int, int], int]
-
-    @classmethod
-    def build(cls, n_max: int, k_max: int | None = None) -> "WalkTable":
-        """Tabulate the counts for even n up to n_max, k up to k_max.
-
-        k_max defaults to n_max/2 - 1, the largest k with a nonzero count
-        anywhere in the table; smaller n then carry explicit zeros, which
-        is the layout the walks CLI table prints.
-        """
-        _check_step_count(n_max)
-        if k_max is None:
-            k_max = n_max // 2 - 1
-        entries = {}
-        for n in range(2, n_max + 1, 2):
-            row = walk_row(n)
-            for k in range(k_max + 1):
-                entries[(n, k)] = row[k] if k < len(row) else 0
-        return cls(entries)
-
-    def row(self, n: int) -> dict[int, int]:
-        """Counts for one step count, as a k -> count map; {} for an absent n.
-
-        A table holds k = 0, 1, ... up to k_max for every n it has, so the
-        row is read key by key up to the first missing k.
-        """
-        row = {}
-        for k in itertools.count():
-            if (n, k) not in self.entries:
-                return row
-            row[k] = self.entries[(n, k)]

@@ -1,14 +1,16 @@
 """Command-line front-end tests.
 
 Claims checked here:
-    - the walks table reproduces the published counts, byte for byte
+    - the walks table reproduces the published counts, byte for byte, and
+      lists every (n, k) up to n_max/2 - 1 with exact counts past int64
     - CSV schemas and the pinned single-row alpha output are stable
     - a chain length is echoed only when one was chosen
     - identical invocations produce byte-identical files
     - config files merge under flags; junk arguments exit 2 and
-      computational dead ends exit 1, a NaN in any column included
+      computational dead ends exit 1, a NaN in any column included, with
+      nothing on stderr but the error line
     - every bound declared in the parameter table is enforced, as a flag
-      and as a config key
+      and as a config key, before any output file is written
     - the witness sidecar and SVG plotting work end to end
     - CSV rows stream in chunks with the bytes of per-row formatting; a
       failure mid-stream leaves no output and no temporary file, and
@@ -88,12 +90,21 @@ def test_walks_reproduces_published_table(capsys):
     assert run_cli(capsys, "walks", "--n-max", "12") == TABLE_CSV
 
 
-def test_walks_counts_past_int64_stay_exact(capsys):
-    # Catalan(36) at n = 74 lies between 2**63 and 2**64.
-    lines = run_cli(capsys, "walks", "--n-max", "74").splitlines()[2:]
+@pytest.mark.parametrize("n_max", [2, 12, 74])
+def test_walks_counts_past_int64_stay_exact(capsys, n_max):
+    # every even n lists k = 0 .. n_max/2 - 1 in (n, k) order, zero past
+    # k = n/2 - 1; Catalan(36) at n = 74 lies between 2**63 and 2**64.
+    lines = run_cli(capsys, "walks", "--n-max", str(n_max)).splitlines()[2:]
     rows = [tuple(map(int, line.split(","))) for line in lines]
-    assert max(count for _, _, count in rows) > 2**63
+    half = n_max // 2
+    assert len(rows) == half * half
+    assert [(n, k) for n, k, _ in rows] == [
+        (n, k) for n in range(2, n_max + 1, 2) for k in range(half)
+    ]
     assert all(count == walk_count(n, k) for n, k, count in rows)
+    assert all(count == 0 for n, k, count in rows if k > n // 2 - 1)
+    if n_max == 74:
+        assert max(count for _, _, count in rows) > 2**63
 
 
 def test_alpha_closed_single_row(capsys):
@@ -232,7 +243,8 @@ def test_computational_errors_exit_1(capsys):
         "--steps", "2",
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith("spinwire alpha: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("spinwire alpha: error:") and "overflow" in err
 
 
 @pytest.mark.parametrize("argv, column", [
@@ -243,7 +255,7 @@ def test_computational_errors_exit_1(capsys):
     (["recurrence", "--freqs", "1,1e308", "--tmax", "1", "--steps", "3"], "p"),
 ])
 @pytest.mark.parametrize("to_file", [False, True])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_nan_in_a_column_exits_1_and_writes_nothing(tmp_path, capsys, argv, column, to_file):
     out = tmp_path / "nan.csv"
     code = main(argv + (["--out", str(out)] if to_file else []))
@@ -370,10 +382,12 @@ def test_every_declared_bound_is_enforced(tmp_path, command, param, outside, ins
         config.write_text(json.dumps({param.name: value}))
         return [command, "--config", str(config), *base]
 
+    out = tmp_path / "out.csv"
     for argv in (as_flag(outside), as_config(outside)):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(argv + ["--out", str(out)])
         assert excinfo.value.code == 2
+        assert [path.name for path in tmp_path.iterdir()] in ([], ["run.json"])
     parser = build_parser()
     want = tuple(inside) if isinstance(inside, list) else inside
     for argv in (as_flag(inside), as_config(inside)):

@@ -208,6 +208,9 @@ def test_build_rejects_bad_input():
         evaluate_series(build_series(1, 1, order=1), 0.5)
     with pytest.raises(ValueError):
         series_coefficient(-1, 1, 1)
+    for k0_sq, k_sq in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            series_coefficient(2, k0_sq, k_sq)
     # nan and both infinities, in every coupling argument
     for bad in (math.inf, -math.inf, math.nan):
         for call in (
