@@ -6,7 +6,7 @@ Everything downstream of alpha0 lives here:
   (transverse Bloch components scale by alpha0, the longitudinal one by
   alpha0 squared);
 * an exponentiality metric: integrated squared distance between the
-  rescaled decay and exp(-x) on the unit interval;
+  rescaled decay and exp(-x) on the unit interval, exact in closed form;
 * the first inflection point of the rescaled decay, numerically and in
   its short-time quadratic approximation;
 * the Bloch-vector length of a qubit evolving against a fully
@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .numerics import adaptive_simpson, bisect_root, bracket_first_sign_change
+from .numerics import bisect_root, bracket_first_sign_change
 from .propagator import ChainSpec, ChebyshevAlpha
 from .series import DEFAULT_ORDER, _as_fraction, build_series, evaluate_series, horner
 
@@ -33,6 +34,7 @@ WITNESS_THRESHOLD = 1.0
 CROSSING_XTOL = 1e-9
 INFLECTION_WINDOW = 3.0
 DEFAULT_QUAD_TOL = 1e-10
+CHI_GUARD_DIGITS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +74,11 @@ def apply_channel(v: BlochVector, alpha: float) -> BlochVector:
 
 @dataclass(frozen=True)
 class ChiScan:
-    """chi values over a set of coupling ratios, with the knobs that made them."""
+    """chi values over a set of coupling ratios, at one series order."""
 
     ratios: tuple[float, ...]
     chi: tuple[float, ...]
     series_order: int
-    quadrature_tolerance: float
 
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.chi):
@@ -91,18 +92,24 @@ def chi_metric(
 
     Time is rescaled so the characteristic decay time K/K0^2 equals one,
     which pins K0 = ratio and K = ratio^2 for ratio = K/K0.  The decay
-    curve is the order-`order` truncated series; the integral runs over
-    x in [0, 1] by adaptive Simpson quadrature.
+    curve is the order-`order` truncated series P, and chi is the
+    integral of (P(x) - exp(-x))^2 over x in [0, 1], taken exactly: P is
+    a polynomial, so chi = A + B e^-1 + C e^-2 with rational A, B and C,
+    evaluated in Decimal (see :func:`_chi_closed_form`) and rounded once
+    to a float.  A chi past the float range raises OverflowError.
 
     For large ratios the truncated series stops converging inside the
     unit interval and truncation, not physics, dominates the metric; a
     warning is issued when the series error estimate at x = 1 exceeds
-    the quadrature tolerance.
+    quad_tol, which is only that threshold: chi itself is exact.
     """
     r = _as_fraction(ratio, "ratio")
     if r <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
     coeffs = build_series(k0_sq=r * r, k_sq=r**4, order=order)
+    chi = float(_chi_closed_form(coeffs.coeffs))
+    if math.isinf(chi):
+        raise OverflowError(f"chi at ratio {ratio} overflows a float (order {order})")
 
     _, tail = evaluate_series(coeffs, 1.0)
     if tail > quad_tol:
@@ -112,29 +119,58 @@ def chi_metric(
             RuntimeWarning,
             stacklevel=2,
         )
-
-    def integrand(x: float) -> float:
-        value, _ = evaluate_series(coeffs, x)
-        return (value - math.exp(-x)) ** 2
-
-    # In the truncation-dominated regime the integrand is huge and its
-    # float evaluation is cancellation-noisy; quadrature cannot resolve
-    # below roughly 1e-10 of the integrand scale, so floor the tolerance
-    # there instead of subdividing into the noise.
-    scale = max(integrand(i / 64.0) for i in range(65))
-    return adaptive_simpson(integrand, 0.0, 1.0, max(quad_tol, scale * 1e-10))
+    return chi
 
 
-def chi_scan(
-    ratios, order: int = DEFAULT_ORDER, quad_tol: float = DEFAULT_QUAD_TOL
-) -> ChiScan:
-    values = tuple(chi_metric(r, order, quad_tol) for r in ratios)
-    return ChiScan(
-        ratios=tuple(float(r) for r in ratios),
-        chi=values,
-        series_order=order,
-        quadrature_tolerance=quad_tol,
-    )
+def _chi_closed_form(coeffs) -> Decimal:
+    """Integral over [0, 1] of (P(x) - exp(-x))^2 for P(x) = sum_j coeffs[j] x^(2j).
+
+    It is sum_n s_n / (2n+1) - 2 sum_j c_j I_2j + (1 - e^-2) / 2, with
+    s_n = sum_{i+j=n} c_i c_j and I_n the integral of x^n e^-x over [0, 1].
+    Every quantity is a Decimal carried to p = CHI_GUARD_DIGITS +
+    2 log10(1 + sum |c_j|) places; sum |c_j| bounds |P| on [0, 1], so no
+    term exceeds (1 + sum |c_j|)^2 and chi is right to about
+    10^-CHI_GUARD_DIGITS however hard the terms cancel.  I_2M is
+    e^-1 sum_{k>2M} (2M)!/k!; the downward recurrence
+    I_(n-1) = (I_n + e^-1) / n gives the rest and divides an error by n
+    at each step, where n! - M_n e^-1 would cancel by about (2M)!.
+    """
+    # an integer >= 1 + sum |c_j|, without the gcds of a Fraction sum
+    bound = sum(abs(q.numerator) // q.denominator + 1 for q in coeffs)
+    digits = math.ceil(math.log10(bound))
+    places = CHI_GUARD_DIGITS + 2 * digits
+    top = len(coeffs) - 1
+    with localcontext() as ctx:
+        ctx.prec = places + 2 * digits  # P^2 has at most 2 * digits before the point
+        c = [Decimal(q.numerator * 10**places // q.denominator).scaleb(-places)
+             for q in coeffs]
+        e_inv = Decimal(-1).exp()
+
+        p_squared = Decimal(0)
+        for n in range(2 * top + 1):
+            pairs = sum((c[i] * c[n - i] for i in range(max(0, n - top), (n + 1) // 2)),
+                        Decimal(0))
+            diagonal = c[n // 2] ** 2 if n % 2 == 0 else 0
+            p_squared += (2 * pairs + diagonal) / (2 * n + 1)
+
+        moment, term, k = Decimal(0), Decimal(1), 2 * top
+        while moment + term != moment:
+            k += 1
+            term /= k
+            moment += term
+        moment *= e_inv  # I_2M
+        cross = Decimal(0)
+        for n in range(2 * top, -1, -1):
+            if n % 2 == 0:
+                cross += c[n // 2] * moment
+            if n:
+                moment = (moment + e_inv) / n
+        return p_squared - 2 * cross + (1 - e_inv * e_inv) / 2
+
+
+def chi_scan(ratios, order: int = DEFAULT_ORDER) -> ChiScan:
+    values = tuple(chi_metric(r, order) for r in ratios)
+    return ChiScan(ratios=tuple(float(r) for r in ratios), chi=values, series_order=order)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channels import (DEFAULT_QUAD_TOL, chi_scan, magnetized_bloch_trace, recurrence_demo,
-                       singlet_witness)
+from .channels import chi_scan, magnetized_bloch_trace, recurrence_demo, singlet_witness
 from .closed_forms import alpha_closed, classify_couplings
 from .floatfmt import FORMAT as FLOAT_FORMAT, format_rows
 from .numerics import chunks
@@ -173,32 +172,25 @@ def _check(param: Param, value):
 # Subcommand runners: each returns (csv chunks, sidecar dict or None, plot spec)
 # ---------------------------------------------------------------------------
 
-def _csv(header: str, columns, comments=(), integers: bool = False):
-    """Generated-by line, comment lines and header, then one row per sample.
+def _header(header: str, comments=()) -> str:
+    """The generated-by line, comment lines and the column header."""
+    return "\n".join([GENERATED_BY, *comments, header]) + "\n"
 
-    Yields the header block, then one string per CHUNK of rows.  Float
-    columns are formatted together by floatfmt.format_rows, integer ones
-    by a single %d over the row template repeated.  A NaN in a float
-    column is a ValueError naming the column, raised before anything is
-    yielded; -inf and inf are kept.
+
+def _csv(header: str, columns, comments=()):
+    """The header block, then one string per CHUNK of float rows.
+
+    The columns are formatted together by floatfmt.format_rows.  A NaN
+    in a column is a ValueError naming the column, raised before
+    anything is yielded; -inf and inf are kept.
     """
-    if not integers:
-        columns = [np.asarray(column, dtype=float) for column in columns]
-        for name, column in zip(header.split(","), columns):
-            if np.isnan(column).any():
-                raise ValueError(f"column {name} holds NaN")
-    yield "\n".join([GENERATED_BY, *comments, header]) + "\n"
-    width = len(columns)
-    row = ",".join(["%d"] * width) + "\n"
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    for name, column in zip(header.split(","), columns):
+        if np.isnan(column).any():
+            raise ValueError(f"column {name} holds NaN")
+    yield _header(header, comments)
     for block in chunks(len(columns[0])):
-        cells = [column[block] for column in columns]
-        if integers:
-            flat = [None] * (len(cells[0]) * width)
-            for i, cell in enumerate(cells):
-                flat[i::width] = cell
-            yield row * len(cells[0]) % tuple(flat)
-        else:
-            yield format_rows(np.column_stack(cells))
+        yield format_rows(np.column_stack([column[block] for column in columns]))
 
 
 def _chain_length(k0: float, k: float, tmax: float, tol: float) -> int:
@@ -212,12 +204,18 @@ def _chain_comment(n_sites: int, tmax: float) -> list[str]:
 
 
 def _run_walks(params):
-    # every n lists k = 0 .. n_max/2 - 1, zero-padded past its own last walk
-    half = params["n_max"] // 2
-    steps = range(2, params["n_max"] + 1, 2)
-    columns = [[n for n in steps for _ in range(half)], list(range(half)) * half,
-               [count for n in steps for count in walk_row(n) + [0] * (half - n // 2)]]
-    return _csv("n,k,count", columns, integers=True), None, None
+    # every n lists k = 0 .. n_max/2 - 1, zero-padded past its own last walk;
+    # one block per n, so only one row of exact counts is alive at a time
+    n_max = params["n_max"]
+    half = n_max // 2
+
+    def blocks():
+        yield _header("n,k,count")
+        for n in range(2, n_max + 1, 2):
+            counts = walk_row(n) + [0] * (half - n // 2)
+            yield "".join(f"{n},{k},{count}\n" for k, count in enumerate(counts))
+
+    return blocks(), None, None
 
 
 def _run_alpha(params):
@@ -248,7 +246,7 @@ def _run_alpha(params):
 
 
 def _run_chi_scan(params):
-    scan = chi_scan(params["ratios"], params["order"], params["quad_tol"])
+    scan = chi_scan(params["ratios"], params["order"])
     log_chi = [math.log(c) if c > 0 else -math.inf for c in scan.chi]
     plot = (scan.ratios, log_chi, "K/K0", "log chi", "exponentiality metric")
     return _csv("ratio,chi,log_chi", [scan.ratios, scan.chi, log_chi]), None, plot
@@ -313,9 +311,7 @@ COMMANDS: dict[str, tuple[str, object, tuple[Param, ...]]] = {
     )),
     "chi-scan": ("exponentiality metric over coupling ratios", _run_chi_scan, (
         Param("ratios", floats, None, "(0, inf)", "comma-separated K/K0 values"),
-        ORDER,
-        Param("quad_tol", float, DEFAULT_QUAD_TOL, "(0, inf)", "chi quadrature tolerance"),
-        OUT, PLOT,
+        ORDER, OUT, PLOT,
     )),
     "bloch": ("Bloch length against a magnetized chain", _run_bloch, (
         Param("k0", float, math.sqrt(2.0), "[0, inf)", "plug coupling"),

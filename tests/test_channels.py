@@ -5,6 +5,9 @@ Claims checked here:
       Bloch ball, and composes as a semigroup in alpha
     - chi decreases over the first seven scan ratios and warns loudly
       once truncation takes over
+    - chi equals, to 2 ulp, an exact-Fraction evaluation of its closed
+      form written here: the x^n e^-x moments as n! - M_n e^-1 and e^-1
+      as a partial sum far past double precision
     - the inflection point depends only on K/K0, agrees with a
       finite-difference root of the closed form at equal couplings, and
       drifts to zero as the wire dominates
@@ -20,9 +23,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinwire import (
@@ -31,6 +37,7 @@ from spinwire import (
     SpectralAlpha,
     apply_channel,
     build_generator,
+    build_series,
     chi_metric,
     chi_scan,
     choose_chain_length,
@@ -107,10 +114,45 @@ def test_chi_warns_when_truncation_dominates():
 
 
 def test_chi_scan_bundles_results():
-    scan = chi_scan([math.sqrt(2.0), 2.0], order=20, quad_tol=1e-9)
+    scan = chi_scan([math.sqrt(2.0), 2.0], order=20)
     assert scan.series_order == 20
     assert scan.chi[0] > scan.chi[1] > 0
     assert scan.ratios == (math.sqrt(2.0), 2.0)
+
+
+def exact_chi(ratio: float, order: int) -> float:
+    """chi = A + B e^-1 + C e^-2 in exact rationals, rounded once to a float.
+
+    With the integer M_n = sum_{i<=n} n!/i!, the integral of x^n e^-x over
+    [0, 1] is n! - M_n e^-1.  e^-1 is the partial sum of its series up to
+    k = 4 order + 100, whose remainder is far below what B can amplify.
+    """
+    r = Fraction(ratio)
+    c = build_series(r * r, r**4, order).coeffs
+    p_squared = sum(
+        sum(c[i] * c[n - i] for i in range(max(0, n - order), min(n, order) + 1)) / (2 * n + 1)
+        for n in range(2 * order + 1)
+    )
+    a_part, b_part, m_n = p_squared + Fraction(1, 2), Fraction(0), 0
+    for n in range(2 * order + 1):
+        m_n = n * m_n + 1
+        if n % 2 == 0:
+            a_part -= 2 * c[n // 2] * math.factorial(n)
+            b_part += 2 * c[n // 2] * m_n
+    e_inv = sum(Fraction((-1) ** k, math.factorial(k)) for k in range(4 * order + 101))
+    return float(a_part + b_part * e_inv - e_inv * e_inv / 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratio=st.floats(1.0, 2.8), order=st.integers(20, 40))
+@example(ratio=2.5572967500374952, order=40)  # adaptive Simpson missed this one by 1.3e-8
+@example(ratio=2.0 * math.sqrt(3.0), order=20)  # truncation-dominated: A and B e^-1 cancel hard
+@example(ratio=2.8, order=40)  # the far corner: the largest coefficients
+def test_chi_matches_exact_fractions(ratio, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        value, want = chi_metric(ratio, order=order), exact_chi(ratio, order)
+    assert abs(value - want) <= 2 * math.ulp(want), (value, want)
 
 
 def test_chi_rejects_bad_ratio():

@@ -1,8 +1,9 @@
 """Command-line front-end tests.
 
 Claims checked here:
-    - the walks table reproduces the published counts, byte for byte, and
-      lists every (n, k) up to n_max/2 - 1 with exact counts past int64
+    - the walks table reproduces the published counts, byte for byte,
+      lists every (n, k) up to n_max/2 - 1 with exact counts past int64,
+      and is built one row of counts per block it yields
     - CSV schemas and the pinned single-row alpha output are stable
     - a chain length is echoed only when one was chosen
     - identical invocations produce byte-identical files
@@ -38,7 +39,7 @@ from spinwire import cli, svg_plot
 from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
                           resolve_params)
 from spinwire.numerics import CHUNK
-from spinwire.walks import walk_count
+from spinwire.walks import walk_count, walk_row
 
 TABLE_CSV = """# generated-by: spinwire 0.1.0
 n,k,count
@@ -105,6 +106,20 @@ def test_walks_counts_past_int64_stay_exact(capsys, n_max):
     assert all(count == 0 for n, k, count in rows if k > n // 2 - 1)
     if n_max == 74:
         assert max(count for _, _, count in rows) > 2**63
+
+
+def test_walks_streams_one_row_of_counts_at_a_time(monkeypatch):
+    calls = []
+
+    def recording_walk_row(n):
+        calls.append(n)
+        return walk_row(n)
+
+    monkeypatch.setattr(cli, "walk_row", recording_walk_row)
+    blocks, _, _ = cli._run_walks({"n_max": 12, "out": None})
+    assert next(blocks) == f"{GENERATED_BY}\nn,k,count\n"
+    assert next(blocks) == "2,0,1\n2,1,0\n2,2,0\n2,3,0\n2,4,0\n2,5,0\n"
+    assert calls == [2]
 
 
 def test_alpha_closed_single_row(capsys):
@@ -209,9 +224,16 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["walks", "--config", str(config)])
     assert excinfo.value.code == 2
+    # chi is exact, so chi-scan takes no quadrature tolerance
+    config.write_text(json.dumps({"ratios": [2.0], "quad_tol": 1e-9}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chi-scan", "--config", str(config), "--out", str(tmp_path / "chi.csv")])
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == [config]
 
 
-def test_argument_errors_exit_2():
+def test_argument_errors_exit_2(tmp_path):
+    out = str(tmp_path / "out.csv")
     for argv in (
         ["walks", "--n-max", "7"],
         ["walks", "--n-max", "0"],
@@ -224,10 +246,12 @@ def test_argument_errors_exit_2():
         ["recurrence", "--freqs", "1,inf"],
         ["recurrence", "--freqs", "1,,3"],
         ["witness", "--tmax", "0"],
+        ["chi-scan", "--ratios", "2", "--quad-tol", "1e-9", "--out", out],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_computational_errors_exit_1(capsys):
@@ -245,6 +269,10 @@ def test_computational_errors_exit_1(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("spinwire alpha: error:") and "overflow" in err
+    # chi of the order-60 polynomial at ratio 32 is about 1e396
+    assert main(["chi-scan", "--ratios", "32", "--order", "60"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinwire chi-scan: error: chi at ratio 32.0 overflows")
 
 
 @pytest.mark.parametrize("argv, column", [
