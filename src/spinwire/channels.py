@@ -286,7 +286,8 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
     alpha_b = alpha_a if spec_b == spec_a else ChebyshevAlpha(spec_b)
 
     def witness_at(t):
-        u = alpha_a(t) * alpha_b(t)
+        a = alpha_a(t)
+        u = a * (a if alpha_b is alpha_a else alpha_b(t))  # equal chains: one call
         u_sq = u * u
         return 2.0 * u_sq + u_sq * u_sq
 

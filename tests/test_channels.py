@@ -14,7 +14,8 @@ Claims checked here:
     - the magnetized-chain Bloch length matches a matrix-exponential
       state-vector oracle built here from the dense generator
     - the singlet witness starts at 3, dies at the quartic-root
-      crossing, and is reborn in the oscillatory regime
+      crossing, and is reborn in the oscillatory regime; equal chains
+      share one evaluator, called once per time
     - the recurrence demo never returns to 1 and re-crosses thresholds
       sooner with fewer frequencies
 """
@@ -38,6 +39,7 @@ from spinwire import (
     apply_channel,
     build_generator,
     build_series,
+    channels,
     chi_metric,
     chi_scan,
     choose_chain_length,
@@ -48,6 +50,7 @@ from spinwire import (
 )
 from spinwire.closed_forms import alpha_closed, classify_couplings
 from spinwire.numerics import bisect_root
+from spinwire.propagator import ChebyshevAlpha
 
 # ----------------------------------------------------------------- channel --
 
@@ -336,6 +339,29 @@ def test_witness_bounded_by_three():
     trace = singlet_witness(spec_a, spec_b, np.linspace(0.0, 12.0, 1501))
     assert np.max(trace.witness) <= 3.0 + 1e-12
     assert np.min(trace.witness) >= 0.0
+
+
+@pytest.mark.parametrize("k0b,evaluators", [(4.0, 1), (3.0, 2)])
+def test_witness_calls_each_evaluator_once_per_time(monkeypatch, k0b, evaluators):
+    # equal chains share one evaluator, called once per time; unequal chains run both
+    calls, evaluations = {}, []
+    real_call, real_bisect = ChebyshevAlpha.__call__, channels.bisect_root
+
+    def counting_call(self, t):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real_call(self, t)
+
+    def counting_bisect(f, lo, hi, **kwargs):
+        return real_bisect(lambda t: evaluations.append(t) or f(t), lo, hi, **kwargs)
+
+    monkeypatch.setattr(ChebyshevAlpha, "__call__", counting_call)
+    monkeypatch.setattr(channels, "bisect_root", counting_bisect)
+    n = choose_chain_length(1.0, 8.0, k0=4.0)
+    trace = singlet_witness(ChainSpec(4.0, 1.0, n), ChainSpec(k0b, 1.0, n),
+                            np.linspace(0.0, 8.0, 2001))
+    assert trace.death_time is not None
+    # one grid call, then one per bisection evaluation
+    assert list(calls.values()) == [1 + len(evaluations)] * evaluators
 
 
 def test_witness_rejects_bad_grid():

@@ -11,7 +11,9 @@ Claims checked here:
       computational dead ends exit 1, a NaN in any column included, with
       nothing on stderr but the error line
     - every bound declared in the parameter table is enforced, as a flag
-      and as a config key, before any output file is written
+      and as a config key, before any output file is written; any value
+      outside a bound, or any token that is no finite number, exits 2
+      and leaves no file
     - the witness sidecar and SVG plotting work end to end
     - CSV rows stream in chunks with the bytes of per-row formatting; a
       failure mid-stream leaves no output and no temporary file, and
@@ -19,6 +21,8 @@ Claims checked here:
     - only a missing or regular-file target is replaced through a
       temporary file; a device or a symlink is written through
     - the SVG points equal per-point formatting
+    - neither the package import nor any README command loads scipy,
+      and the spectral reference still does, on its first eigensolve
 """
 
 from __future__ import annotations
@@ -30,10 +34,14 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinwire import cli, svg_plot
 from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
@@ -422,6 +430,38 @@ def test_every_declared_bound_is_enforced(tmp_path, command, param, outside, ins
         assert resolve_params(parser, parser.parse_args(argv))[param.name] == want
 
 
+_BOUNDED = [(command, param) for command, (_, _, table) in COMMANDS.items()
+            for param in table if param.bounds]
+_NOT_NUMBERS = ("", "x", "one", "1e", "0x1", "1,,2", "--", "nan", "-inf")
+
+
+@st.composite
+def _bad_value(draw, param):
+    """A token outside param's bounds, or one that is not a finite number."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_NOT_NUMBERS))
+    if param.type is int:
+        value = draw(st.integers(-10**6, 10**6))
+    else:
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    assume(not cli._within(param.bounds, value))
+    return repr(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bad_input_exits_2_and_leaves_no_file(data):
+    command, param = data.draw(st.sampled_from(_BOUNDED))
+    token = data.draw(_bad_value(param))
+    base = ["--ratios", "1"] if command == "chi-scan" and param.name != "ratios" else []
+    with tempfile.TemporaryDirectory() as folder:
+        out = os.path.join(folder, "out.csv")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, f"{param.flag}={token}", *base, "--out", out])
+        assert excinfo.value.code == 2
+        assert os.listdir(folder) == []
+
+
 def test_plot_written(tmp_path):
     plot = tmp_path / "alpha.svg"
     assert main([
@@ -611,3 +651,35 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.endswith("4,1,1\n")
+
+
+README_EXAMPLES_WITHOUT_SCIPY = """
+import contextlib, os, sys
+import spinwire, spinwire.cli
+assert "scipy" not in sys.modules, "import spinwire.cli"
+with open(sys.argv[1], encoding="utf-8") as readme:
+    lines = [line.split()[1:] for line in readme if line.startswith("spinwire ")]
+assert lines, "no spinwire lines in README.md"
+for argv in lines:
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert spinwire.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+from spinwire.propagator import ChainSpec, ChebyshevAlpha, SpectralAlpha
+spec = ChainSpec(1.0, 1.0, 8)
+times = [0.0, 0.5, 1.7, 4.0]
+gap = max(abs(SpectralAlpha(spec)(t) - ChebyshevAlpha(spec)(t)) for t in times)
+assert gap <= 1e-12, gap
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    # each `spinwire ...` line of README.md, split on whitespace as the CI step does;
+    # the spectral reference still loads scipy, lazily, and agrees with the CLI's engine
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", README_EXAMPLES_WITHOUT_SCIPY, str(root / "README.md")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
