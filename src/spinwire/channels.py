@@ -275,9 +275,9 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
     u = alphaA * alphaB, so the witness (sum of squared entries) is
     W = 2 u^2 + u^4; W > 1 flags entanglement.  W(0) = 3.
 
-    Interval edges found on the grid are refined by bisection.  The grid
-    is the caller's resolution contract: intervals narrower than one
-    grid step can be missed.
+    Interval edges found on the grid are refined together by one array
+    bisection.  The grid is the caller's resolution contract: intervals
+    narrower than one grid step can be missed.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
@@ -294,21 +294,19 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
     w = witness_at(times)
     above = w > WITNESS_THRESHOLD  # strict: the criterion is sufficient only
 
-    margin = lambda t: witness_at(t) - WITNESS_THRESHOLD
-    intervals: list[tuple[float, float]] = []
-    start: float | None = times[0] if above[0] else None
-    for i in range(1, len(times)):
-        if above[i] and start is None:
-            start = bisect_root(
-                margin, times[i - 1], times[i], xtol=CROSSING_XTOL
-            )
-        elif not above[i] and start is not None:
-            end = bisect_root(margin, times[i - 1], times[i], xtol=CROSSING_XTOL)
-            intervals.append((start, end))
-            start = None
-    open_ended = start is not None
+    edges = np.flatnonzero(above[1:] != above[:-1])
+    margin = w - WITNESS_THRESHOLD
+    crossings = bisect_root(
+        lambda t: witness_at(t) - WITNESS_THRESHOLD,
+        times[edges], times[edges + 1],
+        f_lo=margin[edges], f_hi=margin[edges + 1], xtol=CROSSING_XTOL,
+    ).tolist()
+    # crossings alternate up and down; the grid ends close what they leave open
+    bounds = [float(times[0])] + crossings if above[0] else crossings
+    open_ended = bool(above[-1])
     if open_ended:
-        intervals.append((start, float(times[-1])))
+        bounds.append(float(times[-1]))
+    intervals = list(zip(bounds[::2], bounds[1::2]))
 
     death_time = None
     if intervals and not (open_ended and len(intervals) == 1):

@@ -14,7 +14,8 @@ Floats are printed as %.17g, so files round-trip to the exact doubles;
 floatfmt produces those bytes in bulk.  A NaN in any column is a
 computational failure.
 
-Exit codes: 0 success, 1 computational failure, 2 argument errors.
+Exit codes, which main returns and the spinwire script exits with: 0
+success (--help and --version too), 1 computational failure, 2 argument errors.
 """
 
 from __future__ import annotations
@@ -377,8 +378,11 @@ def _write_text(path: str, texts) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    params = resolve_params(parser, args)
+    try:
+        args = parser.parse_args(argv)
+        params = resolve_params(parser, args)
+    except SystemExit as exc:  # argparse: 2 for a bad argument, 0 after --help or --version
+        return exc.code
 
     try:
         csv_chunks, sidecar, plot_spec = RUNNERS[args.command](params)

@@ -1,5 +1,6 @@
-"""Shared numerical utilities: adaptive quadrature, root refinement, and
-elementwise libm calls on arrays in bounded blocks."""
+"""Shared numerical utilities: adaptive quadrature, root refinement (one
+bisection for many brackets), and elementwise libm calls on arrays in
+bounded blocks."""
 
 from __future__ import annotations
 
@@ -72,36 +73,46 @@ def adaptive_simpson(
 
 
 def bisect_root(
-    f: Scalar,
-    lo: float,
-    hi: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
     *,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
+    f_lo=None,
+    f_hi=None,
     xtol: float = 1e-12,
     max_iter: int = 200,
-) -> float:
-    """Bisection on a bracketing interval; returns the midpoint estimate."""
-    f_lo = f(lo) if f_lo is None else f_lo
-    f_hi = f(hi) if f_hi is None else f_hi
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]: f={f_lo}, {f_hi}")
+):
+    """Bisection of a float bracket, or of equal-length arrays of them at once.
+
+    f maps an array of midpoints to their values.  Each bracket stops on
+    its own (at an endpoint or midpoint where f is 0, once hi - lo <= xtol,
+    or after max_iter midpoints) with the bits of a one-bracket call.
+    ValueError when a bracket holds no sign change.
+    """
+    scalar = np.ndim(lo) == 0
+    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
+    f_lo = np.array(f(lo) if f_lo is None else f_lo, dtype=float, ndmin=1)
+    f_hi = np.array(f(hi) if f_hi is None else f_hi, dtype=float, ndmin=1)
+    roots = np.where(f_lo == 0.0, lo, hi)
+    todo = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
+    same = (f_lo[todo] > 0) == (f_hi[todo] > 0)
+    if same.any():
+        i = todo[np.argmax(same)]
+        raise ValueError(f"no sign change on [{lo[i]}, {hi[i]}]: f={f_lo[i]}, {f_hi[i]}")
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol:
-            return mid
+        mid = 0.5 * (lo[todo] + hi[todo])
+        roots[todo] = mid
+        going = ~(hi[todo] - lo[todo] <= xtol)  # a NaN width does not stop
+        todo, mid = todo[going], mid[going]
+        if not todo.size:
+            break
         f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_hi > 0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        upper = (f_mid > 0) == (f_hi[todo] > 0)
+        hi[todo[upper]], f_hi[todo[upper]] = mid[upper], f_mid[upper]
+        lo[todo[~upper]] = mid[~upper]
+        todo = todo[f_mid != 0.0]
+    roots[todo] = 0.5 * (lo[todo] + hi[todo])
+    return float(roots[0]) if scalar else roots
 
 
 def bracket_first_sign_change(

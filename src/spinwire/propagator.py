@@ -17,8 +17,8 @@ Chebyshev propagator (Tal-Ezer & Kosloff 1984; Weisse et al. 2006):
 
 with a = max(K0+K, 2K) >= ||h|| and the moments
 mu_2m = <e0|T_2m(h/a)|e0> = 2 ||T_m(h/a) e0||^2 - 1 taken from the
-three-term Chebyshev recurrence, and the Bessel values from Miller's
-backward recurrence.  :class:`SpectralAlpha` evaluates the same chain
+three-term Chebyshev recurrence, and the Bessel values from one Miller
+loop over an array of times.  :class:`SpectralAlpha` evaluates the chain
 through one tridiagonal eigensolve, alpha0(t) = sum_m w_m cos(lambda_m t);
 it is the independent reference of the tests.  Its solver,
 :func:`eigh_tridiagonal`, imports scipy on the first eigensolve, so the
@@ -134,10 +134,10 @@ class ChebyshevAlpha:
     a grid needs few searches and a scalar call sees the same M as a grid.
     J_2M+1 down to J_0 come from Miller's backward recurrence (DLMF 3.6),
     started at 1, 0 and normalised by J0 + 2 sum_k J_2k = 1, with a
-    power-of-two rescaling against overflow.  A scalar call runs the
-    recurrence on floats, an array call on arrays, with the same
-    operations in the same order: the two agree bit for bit, so bisection
-    brackets see the values of the grid.  Time 0 gives exactly 1.
+    power-of-two rescaling against overflow.  A float t runs as a
+    one-element array and gives a float; each time's value has the same
+    bits whatever else the call holds, so bisection midpoints see the
+    values of the grid.  Time 0 gives exactly 1.
     Working memory is O(len(t)) plus the kept moments, one Python float
     (about 32 B) per order, and about 0.7 a max|t| orders: it grows with
     a t whatever the chain length is.
@@ -185,12 +185,6 @@ class ChebyshevAlpha:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            x = self.a * abs(float(t_arr))
-            if not math.isfinite(x):
-                raise ValueError(f"alpha0 needs a finite a*t, got {x}")
-            order = _series_order(float(_order_bucket(x))) if x > 0 else 0
-            return _miller_sum(x, order, self._extend(order)) if order else 1.0
         x = self.a * np.abs(t_arr.ravel())
         if not np.all(np.isfinite(x)):
             raise ValueError("alpha0 needs a finite a*t")
@@ -202,38 +196,22 @@ class ChebyshevAlpha:
         if rows.size:
             moments = self._extend(int(orders[-1]))
             values[rows] = _miller_sums(x[rows], orders, moments)
-        return values.reshape(t_arr.shape)
+        return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
 
 
-def _miller_sum(x: float, order: int, coefficients) -> float:
-    """J0(x) + 2 sum_{m=1}^{order} c_m J_2m(x) for x > 0 and order >= 1.
+def _miller_sums(xs: np.ndarray, orders: np.ndarray, coefficients) -> np.ndarray:
+    """J0(x) + 2 sum_{m=1}^{order} c_m J_2m(x) at each x > 0 of an ascending xs.
 
     Miller's backward recurrence J_n-1 = (2n/x) J_n - J_n+1 from
     J_2order+2 = 0, J_2order+1 = 1, normalised at the end by
     J0 + 2 sum_m J_2m = 1; a power-of-two rescaling keeps the growing
     values below overflow.  The rescaling is exact and is checked every
     other order, between which values grow by at most (2n/x + 1)^2.
-    """
-    inv = 2.0 / x
-    odd, even, weighted, plain = 1.0, 0.0, 0.0, 0.0  # J_2m+1, J_2m+2, the two sums
-    for m in range(order, 0, -1):
-        even = inv * (2 * m + 1) * odd - even
-        weighted += coefficients[m] * even
-        plain += even
-        odd = inv * (2 * m) * even - odd
-        if abs(odd) > RESCALE_ABOVE:
-            odd, even = odd * RESCALE_BY, even * RESCALE_BY
-            weighted, plain = weighted * RESCALE_BY, plain * RESCALE_BY
-    j0 = inv * odd - even
-    return (j0 + 2.0 * weighted) / (j0 + 2.0 * plain)
 
-
-def _miller_sums(xs: np.ndarray, orders: np.ndarray, coefficients) -> np.ndarray:
-    """_miller_sum at each x of an ascending xs, to its order (nondecreasing, >= 1).
-
-    The loop runs over arrays, with the operations of _miller_sum in the
-    same order, so every row equals its float result bit for bit; a row
-    joins when m reaches its order.
+    orders are nondecreasing and >= 1.  A row joins the loop when m
+    reaches its order; only then are the views re-sliced.  A row's float
+    operations do not depend on the other rows: its bits are the same
+    alone or in a grid.
     """
     top = int(orders[-1])
     joins = np.searchsorted(orders, np.arange(top + 1))  # first row with order >= m
@@ -242,9 +220,10 @@ def _miller_sums(xs: np.ndarray, orders: np.ndarray, coefficients) -> np.ndarray
     joined = xs.size
     for m in range(top, 0, -1):
         lo = joins[m]
-        odd[lo:joined] = 1.0
-        joined = lo
-        o, e, w, p, s, i = (v[lo:] for v in (odd, even, weighted, plain, scratch, inv))
+        if lo < joined:
+            odd[lo:joined] = 1.0
+            joined = lo
+            o, e, w, p, s, i = (v[lo:] for v in (odd, even, weighted, plain, scratch, inv))
         np.multiply(i, 2 * m + 1, out=s)
         s *= o
         np.subtract(s, e, out=e)

@@ -162,7 +162,9 @@ def evaluate_series(coeffs: SeriesCoefficients, t):
     is twice the magnitude of the last retained term, a heuristic bound
     for the alternating tail; the caller decides whether that is good
     enough.  Outside the window where the estimate is small the
-    truncated polynomial is not a meaningful value of alpha0.
+    truncated polynomial is not a meaningful value of alpha0.  Rounding
+    in the alternating sum, about eps * sum_j |c_j| t^(2j), is not in the
+    estimate and can swamp it (README.md shows a case).
 
     An array t gives (values, errors) arrays of its shape, each element
     bit-identical to a float call: Horner does the same float64

@@ -15,7 +15,8 @@ Claims checked here:
       state-vector oracle built here from the dense generator
     - the singlet witness starts at 3, dies at the quartic-root
       crossing, and is reborn in the oscillatory regime; equal chains
-      share one evaluator, called once per time
+      share one evaluator, called once per time; all edges are bisected
+      together, with the bits of one bisection per edge
     - the recurrence demo never returns to 1 and re-crosses thresholds
       sooner with fewer frequencies
 """
@@ -343,7 +344,8 @@ def test_witness_bounded_by_three():
 
 @pytest.mark.parametrize("k0b,evaluators", [(4.0, 1), (3.0, 2)])
 def test_witness_calls_each_evaluator_once_per_time(monkeypatch, k0b, evaluators):
-    # equal chains share one evaluator, called once per time; unequal chains run both
+    # equal chains share one evaluator, called once per time; unequal chains
+    # run both; every edge is bisected in the same calls
     calls, evaluations = {}, []
     real_call, real_bisect = ChebyshevAlpha.__call__, channels.bisect_root
 
@@ -357,11 +359,65 @@ def test_witness_calls_each_evaluator_once_per_time(monkeypatch, k0b, evaluators
     monkeypatch.setattr(ChebyshevAlpha, "__call__", counting_call)
     monkeypatch.setattr(channels, "bisect_root", counting_bisect)
     n = choose_chain_length(1.0, 8.0, k0=4.0)
-    trace = singlet_witness(ChainSpec(4.0, 1.0, n), ChainSpec(k0b, 1.0, n),
-                            np.linspace(0.0, 8.0, 2001))
+    times = np.linspace(0.0, 8.0, 2001)
+    trace = singlet_witness(ChainSpec(4.0, 1.0, n), ChainSpec(k0b, 1.0, n), times)
     assert trace.death_time is not None
-    # one grid call, then one per bisection evaluation
+    assert len(trace.rebirth_times) >= 2  # several edges
+    # one grid call, then one per bisection step, however many edges there are
     assert list(calls.values()) == [1 + len(evaluations)] * evaluators
+    step = times[1] - times[0]
+    assert 1 + len(evaluations) <= 2 + math.ceil(math.log2(step / channels.CROSSING_XTOL))
+
+
+def _witness_edges_one_by_one(spec_a, spec_b, times):
+    """singlet_witness's intervals, death and rebirth times as they were
+    found before every edge was bisected at once: one bisection per edge."""
+    alpha_a, alpha_b = ChebyshevAlpha(spec_a), ChebyshevAlpha(spec_b)
+
+    def witness_at(t):
+        u = alpha_a(t) * alpha_b(t)
+        u_sq = u * u
+        return 2.0 * u_sq + u_sq * u_sq
+
+    above = witness_at(times) > channels.WITNESS_THRESHOLD
+    margin = lambda t: witness_at(t) - channels.WITNESS_THRESHOLD
+    intervals = []
+    start = times[0] if above[0] else None
+    for i in range(1, len(times)):
+        if above[i] and start is None:
+            start = bisect_root(margin, times[i - 1], times[i], xtol=channels.CROSSING_XTOL)
+        elif not above[i] and start is not None:
+            end = bisect_root(margin, times[i - 1], times[i], xtol=channels.CROSSING_XTOL)
+            intervals.append((start, end))
+            start = None
+    open_ended = start is not None
+    if open_ended:
+        intervals.append((start, float(times[-1])))
+    death_time = None
+    if intervals and not (open_ended and len(intervals) == 1):
+        death_time = intervals[0][1]
+    return intervals, death_time, [a for a, _ in intervals[1:]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(k0a=st.floats(0.2, 5.0), ka=st.floats(0.2, 2.0), k0b=st.floats(0.2, 5.0),
+       kb=st.floats(0.2, 2.0), same=st.booleans(), tmax=st.floats(1.0, 8.0),
+       steps=st.integers(2, 600))
+def test_witness_edges_match_one_by_one_bisection(k0a, ka, k0b, kb, same, tmax, steps):
+    spec_a = ChainSpec(k0a, ka, choose_chain_length(ka, tmax, k0=k0a))
+    spec_b = spec_a if same else ChainSpec(k0b, kb, choose_chain_length(kb, tmax, k0=k0b))
+    times = np.linspace(0.0, tmax, steps)
+    trace = singlet_witness(spec_a, spec_b, times)
+    intervals, death_time, rebirth_times = _witness_edges_one_by_one(spec_a, spec_b, times)
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    assert [bits(pair) for pair in trace.entangled_intervals] == [bits(p) for p in intervals]
+    assert (trace.death_time is None) == (death_time is None)
+    if death_time is not None:
+        assert bits([trace.death_time]) == bits([death_time])
+    assert bits(trace.rebirth_times) == bits(rebirth_times)
 
 
 def test_witness_rejects_bad_grid():

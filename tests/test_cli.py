@@ -7,8 +7,9 @@ Claims checked here:
     - CSV schemas and the pinned single-row alpha output are stable
     - a chain length is echoed only when one was chosen
     - identical invocations produce byte-identical files
-    - config files merge under flags; junk arguments exit 2 and
-      computational dead ends exit 1, a NaN in any column included, with
+    - config files merge under flags; --help and --version return 0,
+      junk arguments return 2 (no SystemExit escapes main) and
+      computational dead ends return 1, a NaN in any column included, with
       nothing on stderr but the error line
     - every bound declared in the parameter table is enforced, as a flag
       and as a config key, before any output file is written; any value
@@ -229,14 +230,10 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
 def test_config_rejects_unknown_keys(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"n_max": 12, "bogus": 1}))
-    with pytest.raises(SystemExit) as excinfo:
-        main(["walks", "--config", str(config)])
-    assert excinfo.value.code == 2
+    assert main(["walks", "--config", str(config)]) == 2
     # chi is exact, so chi-scan takes no quadrature tolerance
     config.write_text(json.dumps({"ratios": [2.0], "quad_tol": 1e-9}))
-    with pytest.raises(SystemExit) as excinfo:
-        main(["chi-scan", "--config", str(config), "--out", str(tmp_path / "chi.csv")])
-    assert excinfo.value.code == 2
+    assert main(["chi-scan", "--config", str(config), "--out", str(tmp_path / "chi.csv")]) == 2
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -256,10 +253,14 @@ def test_argument_errors_exit_2(tmp_path):
         ["witness", "--tmax", "0"],
         ["chi-scan", "--ratios", "2", "--quad-tol", "1e-9", "--out", out],
     ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
+        assert main(argv) == 2
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["alpha", "--help"]])
+def test_help_and_version_return_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(("usage: spinwire", "spinwire "))
 
 
 def test_computational_errors_exit_1(capsys):
@@ -312,9 +313,7 @@ def test_config_rejects_non_string_paths(tmp_path, key):
             "--config", str(config)]
     if key == "plot":
         argv += ["--out", str(out)]
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
+    assert main(argv) == 2
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -325,9 +324,7 @@ def test_config_rejects_non_numbers(tmp_path, config):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "alpha.csv"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["alpha", "--method", "closed", "--config", str(path), "--out", str(out)])
-    assert excinfo.value.code == 2
+    assert main(["alpha", "--method", "closed", "--config", str(path), "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -335,9 +332,7 @@ def test_config_rejects_non_numbers(tmp_path, config):
 def test_config_list_must_hold_numbers(tmp_path, ratios):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"ratios": ratios}))
-    with pytest.raises(SystemExit) as excinfo:
-        main(["chi-scan", "--config", str(path), "--out", str(tmp_path / "chi.csv")])
-    assert excinfo.value.code == 2
+    assert main(["chi-scan", "--config", str(path), "--out", str(tmp_path / "chi.csv")]) == 2
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -420,9 +415,7 @@ def test_every_declared_bound_is_enforced(tmp_path, command, param, outside, ins
 
     out = tmp_path / "out.csv"
     for argv in (as_flag(outside), as_config(outside)):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--out", str(out)])
-        assert excinfo.value.code == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert [path.name for path in tmp_path.iterdir()] in ([], ["run.json"])
     parser = build_parser()
     want = tuple(inside) if isinstance(inside, list) else inside
@@ -456,9 +449,7 @@ def test_bad_input_exits_2_and_leaves_no_file(data):
     base = ["--ratios", "1"] if command == "chi-scan" and param.name != "ratios" else []
     with tempfile.TemporaryDirectory() as folder:
         out = os.path.join(folder, "out.csv")
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, f"{param.flag}={token}", *base, "--out", out])
-        assert excinfo.value.code == 2
+        assert main([command, f"{param.flag}={token}", *base, "--out", out]) == 2
         assert os.listdir(folder) == []
 
 
@@ -651,6 +642,13 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.endswith("4,1,1\n")
+    # main returns the argument-error code, and the process exits with it
+    result = subprocess.run(
+        [sys.executable, "-m", "spinwire", "walks", "--n-max", "7"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert "error:" in result.stderr
 
 
 README_EXAMPLES_WITHOUT_SCIPY = """

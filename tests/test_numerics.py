@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwire.numerics import adaptive_simpson, bisect_root, bracket_first_sign_change
 
@@ -44,9 +47,9 @@ def test_simpson_depth_exhaustion():
 
 
 def test_bisect_finds_root():
-    assert bisect_root(math.cos, 0.0, 2.0, xtol=1e-13) == pytest.approx(
-        math.pi / 2, abs=1e-12
-    )
+    root = bisect_root(np.cos, 0.0, 2.0, xtol=1e-13)
+    assert type(root) is float
+    assert root == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_bisect_exact_endpoint():
@@ -57,6 +60,52 @@ def test_bisect_exact_endpoint():
 def test_bisect_requires_bracket():
     with pytest.raises(ValueError, match="sign change"):
         bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)
+
+
+def _sawtooth(x):
+    # exactly 0 at every integer, rising through it; falls through each half-integer
+    return x - np.round(x)
+
+
+_brackets = st.one_of(
+    # any bracket, of widths from 2^-20 to 4
+    st.tuples(st.floats(-8.0, 8.0), st.floats(2.0**-20, 4.0)).map(lambda p: (p[0], p[0] + p[1])),
+    # a zero endpoint
+    st.tuples(st.integers(-8, 8), st.floats(2.0**-20, 4.0)).map(lambda p: (p[0], p[0] + p[1])),
+    # a dyadic half-width: the first midpoint is the integer root itself
+    st.tuples(st.integers(-8, 8), st.integers(-20, 1)).map(
+        lambda p: (p[0] - 2.0 ** p[1], p[0] + 2.0 ** p[1])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(brackets=st.lists(_brackets, min_size=1, max_size=12),
+       xtol=st.sampled_from([1e-12, 1e-6, 0.0]), max_iter=st.sampled_from([8, 200]))
+def test_bisect_array_matches_one_bracket_calls(brackets, xtol, max_iter):
+    lo, hi = (np.array(side, dtype=float) for side in zip(*brackets))
+    singles, refused = [], False
+    for a, b in brackets:
+        try:
+            singles.append(bisect_root(_sawtooth, float(a), float(b), xtol=xtol, max_iter=max_iter))
+        except ValueError:
+            refused = True
+    if refused:  # some bracket holds no sign change: the array call refuses too
+        with pytest.raises(ValueError, match="sign change"):
+            bisect_root(_sawtooth, lo, hi, xtol=xtol, max_iter=max_iter)
+        return
+    roots = bisect_root(_sawtooth, lo, hi, xtol=xtol, max_iter=max_iter)
+    assert roots.shape == lo.shape
+    assert [r.hex() for r in roots.tolist()] == [r.hex() for r in singles]
+
+
+def test_bisect_array_of_bracket_kinds():
+    # the bracket kinds the property above draws on, alone and in one array
+    assert bisect_root(_sawtooth, 3.0, 3.7) == 3.0  # zero at lo
+    assert bisect_root(_sawtooth, 2.6, 3.0) == 3.0  # zero at hi
+    assert bisect_root(_sawtooth, 2.5, 3.5, xtol=0.0) == 3.0  # dyadic root at the first midpoint
+    roots = bisect_root(_sawtooth, np.array([3.0, 2.6, 2.5]), np.array([3.7, 3.0, 3.5]))
+    assert roots.tolist() == [3.0, 3.0, 3.0]
+    assert bisect_root(_sawtooth, np.array([]), np.array([])).size == 0
 
 
 def test_bracket_marches_geometrically():

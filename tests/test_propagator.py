@@ -290,16 +290,16 @@ def test_miller_sums_match_scipy_jv(log_x, seed):
     coefficients = np.random.default_rng(seed).uniform(-1.0, 1.0, order + 1)
     reference = scipy.special.jv(0, x) + 2.0 * np.sum(
         coefficients[1:] * scipy.special.jv(2.0 * np.arange(1, order + 1), x))
-    got = propagator._miller_sum(x, order, coefficients.tolist())
+    got = _one_row(x, order, coefficients.tolist())
     # scipy's jv is off by up to about 1e-14 per value near x = 1000
     # (checked against mpmath), which its sum over ~x orders accumulates
     assert abs(got - reference) <= 1e-15 * (1.0 + x)
-    # the array loop at and around x gives the same bits
+    # a grid at and around x gives each row the bits of its one-row call
     xs = np.sort(x * np.linspace(0.5, 1.0, 40))
     orders = propagator._series_orders(xs)
     keep = orders > 0
     rows = propagator._miller_sums(xs[keep], orders[keep], coefficients.tolist())
-    singles = [propagator._miller_sum(*row, coefficients.tolist())
+    singles = [_one_row(*row, coefficients.tolist())
                for row in zip(xs[keep].tolist(), orders[keep].tolist())]
     assert np.array_equal(rows, singles)
 
@@ -311,7 +311,12 @@ def test_miller_sum_jacobi_anger(x):
     order = propagator._series_order(float(propagator._order_bucket(x)))
     signs = [(-1.0) ** m for m in range(order + 1)]
     tol = 2.0 * np.finfo(float).eps * (1.0 + x)
-    assert propagator._miller_sum(x, order, signs) == pytest.approx(math.cos(x), abs=tol)
+    assert _one_row(x, order, signs) == pytest.approx(math.cos(x), abs=tol)
+
+
+def _one_row(x, order, coefficients):
+    """The Miller sum at one x, as a one-row call of the array loop."""
+    return float(propagator._miller_sums(np.array([x]), np.array([order]), coefficients)[0])
 
 
 def test_choose_chain_length_wire_off():
