@@ -15,11 +15,9 @@ __version__ = "0.1.0"
 
 from .channels import (
     BlochVector,
-    ChiScan,
     WitnessTrace,
     apply_channel,
     chi_metric,
-    chi_scan,
     inflection_point,
     magnetized_bloch_trace,
     recurrence_demo,
@@ -34,12 +32,10 @@ from .closed_forms import (
     envelope_exponent,
 )
 from .propagator import (
-    AlphaTrace,
     ChainSpec,
     ChebyshevAlpha,
     EigensolverError,
     SpectralAlpha,
-    alpha_trace,
     build_generator,
     choose_chain_length,
     truncation_bound,
@@ -56,18 +52,15 @@ from .series import (
 from .walks import catalan, enumerate_walks, walk_count, walk_row
 
 __all__ = [
-    "AlphaTrace",
     "BlochVector",
     "ChainSpec",
     "ChebyshevAlpha",
-    "ChiScan",
     "EigensolverError",
     "SeriesCoefficients",
     "SpecialCase",
     "SpectralAlpha",
     "WitnessTrace",
     "alpha_closed",
-    "alpha_trace",
     "alpha_z",
     "apply_channel",
     "bessel_j0",
@@ -76,7 +69,6 @@ __all__ = [
     "build_series",
     "catalan",
     "chi_metric",
-    "chi_scan",
     "choose_chain_length",
     "classify_couplings",
     "enumerate_walks",

@@ -26,12 +26,14 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .numerics import bisect_root, bracket_first_sign_change
+from .numerics import bisect_root
 from .propagator import ChainSpec, ChebyshevAlpha
 from .series import DEFAULT_ORDER, _as_fraction, build_series, evaluate_series, horner
 
 WITNESS_THRESHOLD = 1.0
 CROSSING_XTOL = 1e-9
+INFLECTION_START = 1e-6
+INFLECTION_GROWTH = 1.05
 INFLECTION_WINDOW = 3.0
 DEFAULT_QUAD_TOL = 1e-10
 CHI_GUARD_DIGITS = 40
@@ -72,19 +74,6 @@ def apply_channel(v: BlochVector, alpha: float) -> BlochVector:
 # Exponentiality metric
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiScan:
-    """chi values over a set of coupling ratios, at one series order."""
-
-    ratios: tuple[float, ...]
-    chi: tuple[float, ...]
-    series_order: int
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.chi):
-            raise ValueError("chi values must be non-negative")
-
-
 def chi_metric(
     ratio: float, order: int = DEFAULT_ORDER, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> float:
@@ -110,6 +99,8 @@ def chi_metric(
     chi = float(_chi_closed_form(coeffs.coeffs))
     if math.isinf(chi):
         raise OverflowError(f"chi at ratio {ratio} overflows a float (order {order})")
+    if chi < 0:
+        raise ValueError(f"chi at ratio {ratio} is negative: {chi!r} (order {order})")
 
     _, tail = evaluate_series(coeffs, 1.0)
     if tail > quad_tol:
@@ -168,11 +159,6 @@ def _chi_closed_form(coeffs) -> Decimal:
         return p_squared - 2 * cross + (1 - e_inv * e_inv) / 2
 
 
-def chi_scan(ratios, order: int = DEFAULT_ORDER) -> ChiScan:
-    values = tuple(chi_metric(r, order) for r in ratios)
-    return ChiScan(ratios=tuple(float(r) for r in ratios), chi=values, series_order=order)
-
-
 # ---------------------------------------------------------------------------
 # Inflection point of the rescaled decay
 # ---------------------------------------------------------------------------
@@ -182,12 +168,16 @@ def inflection_point(
 ) -> tuple[float, float]:
     """First inflection of alpha0((K/K0^2) x): numeric and quadratic-truncation.
 
-    The numeric value is the first sign change of the exact series'
-    second derivative (term-by-term differentiation, geometric
-    bracketing, then bisection).  The truncated value keeps only the
-    x^0 and x^2 terms of that derivative, giving the closed form
-    sqrt(2) (K^2/K0^2 + K^4/K0^4)^(-1/2).  Both depend on the couplings
-    only through K/K0.  Returns (numeric_x0, truncated_x0).
+    The numeric value is the first root of the exact series' second
+    derivative (term-by-term differentiation), evaluated in one array
+    call on the geometric grid x_0 = INFLECTION_START,
+    x_(i+1) = INFLECTION_GROWTH x_i, closed at INFLECTION_WINDOW.  The
+    first grid edge where it is 0 at the left end or changes sign is
+    refined by bisection; RuntimeError when there is none.  The
+    truncated value keeps only the x^0 and x^2 terms of that derivative,
+    giving the closed form sqrt(2) (K^2/K0^2 + K^4/K0^4)^(-1/2).  Both
+    depend on the couplings only through K/K0.  Returns
+    (numeric_x0, truncated_x0).
     """
     plug = _as_fraction(k0, "k0")
     wire = _as_fraction(k, "k")
@@ -205,16 +195,26 @@ def inflection_point(
         for j in range(1, order + 1)
     ]
 
-    def d2(x: float) -> float:
+    def d2(x):
         return horner(second, x * x)
 
-    bracket = bracket_first_sign_change(d2, 1e-6, INFLECTION_WINDOW)
-    if bracket is None:
-        raise RuntimeError(
-            f"no inflection of the rescaled decay in (0, {INFLECTION_WINDOW}] "
-            f"for k0={k0}, k={k}"
-        )
-    numeric_x0 = bisect_root(d2, *bracket, xtol=1e-12)
+    # each x_(i+1) is the rounded product INFLECTION_GROWTH * x_i, not a rounded
+    # power; two spare steps carry the last product past the window
+    steps = math.ceil(math.log(INFLECTION_WINDOW / INFLECTION_START, INFLECTION_GROWTH)) + 2
+    grid = np.multiply.accumulate(np.r_[INFLECTION_START, np.full(steps, INFLECTION_GROWTH)])
+    grid = np.r_[grid[grid < INFLECTION_WINDOW], INFLECTION_WINDOW]
+    # past the inflection d2 can overflow at large K/K0; those values only need a sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = d2(grid)
+        positive = values > 0
+        edges = np.flatnonzero((values[:-1] == 0.0) | (positive[:-1] != positive[1:]))
+        if not edges.size:
+            raise RuntimeError(
+                f"no inflection of the rescaled decay in (0, {INFLECTION_WINDOW}] "
+                f"for k0={k0}, k={k}"
+            )
+        i = edges[0]  # bisect_root returns grid[i] itself where d2 is 0
+        numeric_x0 = bisect_root(d2, grid[i], grid[i + 1], xtol=1e-12)
 
     q_float = float(q)
     truncated_x0 = math.sqrt(2.0 / (q_float + q_float * q_float))

@@ -21,8 +21,8 @@ sin come from libm (``math``) rather than numpy, so every sample is
 bit-identical to its scalar evaluation.
 
 The long-time envelopes of the two Bessel cases decay as t^(-1/2) and
-t^(-3/2); :func:`envelope_exponent` measures such exponents from a
-sampled trace by fitting its peak heights on log-log axes.
+t^(-3/2); :func:`envelope_exponent` measures such exponents from
+sampled values by fitting their peak heights on log-log axes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import chunks, libm
-from .propagator import AlphaTrace
 
 SERIES_ASYMPTOTIC_SWITCH = 12.0
 SERIES_TERMS = 32  # terms 0..31: all that any |x| < 12 keeps
@@ -185,17 +184,25 @@ def alpha_closed(case: SpecialCase, t):
     return _like_input(t, values)
 
 
-def envelope_exponent(trace: AlphaTrace, t_min: float, t_max: float) -> float:
+def envelope_exponent(times, values, t_min: float, t_max: float) -> float:
     """Power-law exponent of the oscillation envelope of |alpha0|.
 
-    Finds the local maxima of |alpha0| inside [t_min, t_max], sharpens
-    each with a three-point parabolic fit, and least-squares fits
-    log(peak) against log(t).  The trace must resolve consecutive
-    extrema (twenty or so samples per oscillation period).
+    times and values are equal-length 1-d arrays, times strictly
+    increasing; anything else is a ValueError.  Finds the local maxima of
+    |values| inside [t_min, t_max], sharpens each with a three-point
+    parabolic fit, and least-squares fits log(peak) against log(t).  The
+    samples must resolve consecutive extrema (twenty or so per
+    oscillation period).  Fewer than MIN_PEAKS_FOR_FIT peaks is a
+    RuntimeError.
     """
-    mask = (trace.times >= t_min) & (trace.times <= t_max)
-    times = trace.times[mask]
-    magnitudes = np.abs(trace.values[mask])
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError("times and values must be equal-length 1-d arrays")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    mask = (times >= t_min) & (times <= t_max)
+    times = times[mask]
+    magnitudes = np.abs(values[mask])
 
     peak_times, peak_values = [], []
     for i in range(1, len(times) - 1):

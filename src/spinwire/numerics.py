@@ -114,27 +114,3 @@ def bisect_root(
     roots[todo] = 0.5 * (lo[todo] + hi[todo])
     return float(roots[0]) if scalar else roots
 
-
-def bracket_first_sign_change(
-    f: Scalar, start: float, stop: float, factor: float = 1.05
-) -> tuple[float, float] | None:
-    """March geometrically from start toward stop; bracket the first sign flip.
-
-    Geometric stepping resolves roots that sit orders of magnitude below
-    stop without paying for a uniform fine grid.  Returns None when the
-    sign never flips.
-    """
-    if not (0 < start < stop and factor > 1):
-        raise ValueError("need 0 < start < stop and factor > 1")
-    x, fx = start, f(start)
-    while x < stop:
-        x_next = min(x * factor, stop)
-        f_next = f(x_next)
-        if fx == 0.0:
-            return x, x
-        if (fx > 0) != (f_next > 0):
-            return x, x_next
-        x, fx = x_next, f_next
-        if x == stop:
-            break
-    return None

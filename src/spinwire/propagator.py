@@ -52,9 +52,6 @@ LIGHT_CONE_SPEED_FACTOR = 2.0
 LIGHT_CONE_BUFFER = 50
 TAIL_TERMS = 64
 
-METHODS = ("series", "matrix", "closed")
-SERIES, MATRIX, _ = METHODS
-
 
 class EigensolverError(RuntimeError):
     """The chain's spectrum came back inconsistent: a failed eigendecomposition,
@@ -75,32 +72,6 @@ class ChainSpec:
         for name, value in (("k0", self.k0), ("k", self.k)):
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-
-@dataclass(frozen=True)
-class AlphaTrace:
-    """Sampled alpha0 values with method provenance and an error bound."""
-
-    times: np.ndarray
-    values: np.ndarray
-    method: str
-    truncation_error_bound: float
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.shape != values.shape or times.ndim != 1 or times.size == 0:
-            raise ValueError("times and values must be equal-length 1-d arrays")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if times[0] == 0.0 and abs(values[0] - 1.0) > 1e-9:
-            raise ValueError(f"alpha0(0) must be 1, got {values[0]!r}")
-        if np.max(np.abs(values)) > 1.0 + 1e-12:
-            raise ValueError("auto-fidelity values must stay within [-1, 1]")
 
 
 def build_generator(spec: ChainSpec) -> np.ndarray:
@@ -316,24 +287,6 @@ class SpectralAlpha:
         t_arr = np.asarray(t, dtype=float)
         values = np.cos(np.outer(np.atleast_1d(t_arr), self.eigenvalues)) @ self.weights
         return float(values[0]) if t_arr.ndim == 0 else values
-
-
-def alpha_trace(
-    spec: ChainSpec,
-    times,
-    truncation_error_bound: float = math.nan,
-) -> AlphaTrace:
-    """Sample alpha0 on a sorted non-negative time grid."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0):
-        raise ValueError("time grid must be non-empty and non-negative")
-    values = ChebyshevAlpha(spec)(times)
-    return AlphaTrace(
-        times=times,
-        values=values,
-        method=MATRIX,
-        truncation_error_bound=truncation_error_bound,
-    )
 
 
 def choose_chain_length(

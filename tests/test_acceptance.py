@@ -52,7 +52,7 @@ from spinwire import (
 )
 from spinwire.cli import main
 from spinwire.numerics import bisect_root
-from spinwire.propagator import alpha_trace
+from spinwire.propagator import ChebyshevAlpha
 
 TABLE = {
     2: (1, 0, 0, 0, 0, 0),
@@ -157,10 +157,11 @@ def test_criterion_01_walk_table(capsys):
 
 def test_criterion_02_equal_couplings_closed_form(capsys):
     n = choose_chain_length(1.0, 10.0, 1e-10, k0=1.0)
-    trace = alpha_trace(ChainSpec(1.0, 1.0, n), np.linspace(0.0, 10.0, 1000))
+    times = np.linspace(0.0, 10.0, 1000)
+    values = ChebyshevAlpha(ChainSpec(1.0, 1.0, n))(times)
     case = classify_couplings(1.0, 1.0)
-    reference = np.array([alpha_closed(case, float(t)) for t in trace.times])
-    worst = float(np.max(np.abs(trace.values - reference)))
+    reference = np.array([alpha_closed(case, float(t)) for t in times])
+    worst = float(np.max(np.abs(values - reference)))
     ok = worst < 1e-9
     with capsys.disabled():
         report(2, "matrix alpha0 vs J1(2Kt)/(Kt) at 1000 points", ok,
@@ -213,8 +214,8 @@ def test_criterion_05_envelope_exponents(capsys):
     slopes = {}
     for label, k0, target in (("equal", 1.0, -1.5), ("sqrt2", math.sqrt(2.0), -0.5)):
         n = choose_chain_length(1.0, 52.0, 1e-10, k0=k0)
-        trace = alpha_trace(ChainSpec(k0, 1.0, n), times)
-        slopes[label] = envelope_exponent(trace, 5.0, 50.0)
+        values = ChebyshevAlpha(ChainSpec(k0, 1.0, n))(times)
+        slopes[label] = envelope_exponent(times, values, 5.0, 50.0)
     ok = abs(slopes["equal"] + 1.5) < 0.05 and abs(slopes["sqrt2"] + 0.5) < 0.05
     with capsys.disabled():
         report(5, "envelope exponents -3/2 and -1/2", ok,

@@ -10,7 +10,9 @@ Claims checked here:
       as a partial sum far past double precision
     - the inflection point depends only on K/K0, agrees with a
       finite-difference root of the closed form at equal couplings, and
-      drifts to zero as the wire dominates
+      drifts to zero as the wire dominates; its one-call grid search
+      gives the bits of the scalar geometric march kept here
+    - a negative chi is a ValueError
     - the magnetized-chain Bloch length matches a matrix-exponential
       state-vector oracle built here from the dense generator
     - the singlet witness starts at 3, dies at the quartic-root
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +45,6 @@ from spinwire import (
     build_series,
     channels,
     chi_metric,
-    chi_scan,
     choose_chain_length,
     inflection_point,
     magnetized_bloch_trace,
@@ -52,6 +54,7 @@ from spinwire import (
 from spinwire.closed_forms import alpha_closed, classify_couplings
 from spinwire.numerics import bisect_root
 from spinwire.propagator import ChebyshevAlpha
+from spinwire.series import horner
 
 # ----------------------------------------------------------------- channel --
 
@@ -117,11 +120,11 @@ def test_chi_warns_when_truncation_dominates():
         assert blown_up > chi_metric(2.0 * math.sqrt(2.0))
 
 
-def test_chi_scan_bundles_results():
-    scan = chi_scan([math.sqrt(2.0), 2.0], order=20)
-    assert scan.series_order == 20
-    assert scan.chi[0] > scan.chi[1] > 0
-    assert scan.ratios == (math.sqrt(2.0), 2.0)
+def test_negative_chi_raises(monkeypatch):
+    # an integral of a square is never negative: a negative closed form is a fault
+    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: Decimal("-1e-3"))
+    with pytest.raises(ValueError, match="negative"):
+        chi_metric(2.0, order=20)
 
 
 def exact_chi(ratio: float, order: int) -> float:
@@ -220,6 +223,59 @@ def test_inflection_to_truncated_ratio_saturates():
         ratios.append(numeric / truncated)
     assert ratios[0] < ratios[1] < ratios[2] < 1.36
     assert all(1.30 < value for value in ratios)
+
+
+def _march_first_sign_change(f, start, stop, factor=1.05):
+    """The geometric march inflection_point bracketed its root with before
+    it evaluated the whole grid at once: (x, x) at a zero, (x, x_next) at
+    a sign change, None when there is neither (a zero at stop included)."""
+    x, fx = start, f(start)
+    while x < stop:
+        x_next = min(x * factor, stop)
+        f_next = f(x_next)
+        if fx == 0.0:
+            return x, x
+        if (fx > 0) != (f_next > 0):
+            return x, x_next
+        x, fx = x_next, f_next
+        if x == stop:
+            break
+    return None
+
+
+def _inflection_by_march(k0: float, k: float, order: int) -> float | None:
+    """inflection_point's numeric root, one scalar evaluation per march step."""
+    plug, wire = Fraction(k0), Fraction(k)
+    tau_sq = wire**2 / plug**4
+    coeffs = build_series(plug**2, wire**2, order).coeffs
+    second = [float(coeffs[j] * tau_sq**j * (2 * j) * (2 * j - 1)) for j in range(1, order + 1)]
+
+    def d2(x):
+        return horner(second, x * x)
+
+    bracket = _march_first_sign_change(d2, 1e-6, 3.0)
+    if bracket is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bisect_root(d2, *bracket, xtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+# K/K0 up to 40: the order-60 coefficients still fit a float
+@given(k0=st.floats(0.5, 20.0), k=st.floats(0.05, 20.0), order=st.integers(4, 60))
+@example(k0=1.0, k=10.0, order=20)
+@example(k0=1.0, k=1.0, order=60)
+@example(k0=10.0, k=1.0, order=20)  # no inflection inside the window
+@example(k0=1.0, k=70.0, order=60)  # d2 overflows on the grid past the root
+@example(k0=1.0, k=0.487, order=20)  # root between the last product and the closing 3.0
+def test_inflection_equals_the_scalar_march(k0, k, order):
+    expected = _inflection_by_march(k0, k, order)
+    if expected is None:
+        with pytest.raises(RuntimeError, match="no inflection"):
+            inflection_point(k0, k, order)
+    else:
+        numeric, _ = inflection_point(k0, k, order)
+        assert numeric.hex() == expected.hex()
 
 
 def test_inflection_outside_window_raises():

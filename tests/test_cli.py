@@ -16,6 +16,8 @@ Claims checked here:
       outside a bound, or any token that is no finite number, exits 2
       and leaves no file
     - the witness sidecar and SVG plotting work end to end
+    - chi-scan looks chi_metric up on spinwire.channels at each call, so
+      a patch there is seen, and a negative chi exits 1 with no file
     - CSV rows stream in chunks with the bytes of per-row formatting; a
       failure mid-stream leaves no output and no temporary file, and
       memory stays bounded on a million-row grid
@@ -36,6 +38,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinwire import cli, svg_plot
+from spinwire import channels, cli, svg_plot
 from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
                           resolve_params)
 from spinwire.numerics import CHUNK
@@ -502,6 +505,27 @@ def test_chi_scan_csv_schema(capsys):
     assert lines[1] == "ratio,chi,log_chi"
     ratio, chi, log_chi = (float(x) for x in lines[2].split(","))
     assert chi > 0 and log_chi == pytest.approx(math.log(chi), rel=1e-12)
+
+
+def test_chi_scan_calls_chi_metric_through_channels(monkeypatch, capsys):
+    calls = []
+
+    def fake_chi(ratio, order):
+        calls.append((ratio, order))
+        return 0.25
+
+    monkeypatch.setattr(channels, "chi_metric", fake_chi)
+    out = run_cli(capsys, "chi-scan", "--ratios", "1.5,2", "--order", "20")
+    assert calls == [(1.5, 20), (2.0, 20)]
+    assert out.splitlines()[2:] == ["1.5,0.25,-1.3862943611198906", "2,0.25,-1.3862943611198906"]
+
+
+def test_negative_chi_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: Decimal("-1e-3"))
+    target = tmp_path / "chi.csv"
+    assert main(["chi-scan", "--ratios", "2", "--order", "20", "--out", str(target)]) == 1
+    assert "negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])

@@ -8,7 +8,8 @@ Claims checked here:
     - the three special-case closed forms match pinned values, each
       other's zeros, and the matrix propagator
     - both Bessel cases decay to zero at long times with envelope
-      exponents -1/2 and -3/2
+      exponents -1/2 and -3/2; the envelope fit rejects times that are
+      not strictly increasing and arrays that are not equal-length 1-d
     - on arrays, J0, J1 and the closed forms equal the scalar loop kept
       here as a reference, bit for bit, across chunk edges and the
       series/Hankel switch
@@ -23,7 +24,6 @@ import numpy as np
 import pytest
 
 from spinwire import (
-    AlphaTrace,
     ChainSpec,
     SpectralAlpha,
     alpha_closed,
@@ -237,31 +237,48 @@ def test_closed_forms_vanish_at_long_times(k0):
     assert max(values) < 0.06
 
 
-def _closed_form_trace(k0: float, t_lo: float, t_hi: float, n: int) -> AlphaTrace:
+def _closed_form_trace(k0: float, t_lo: float, t_hi: float, n: int):
     case = classify_couplings(k0, 1.0)
     times = np.linspace(t_lo, t_hi, n)
-    values = alpha_closed(case, times)
-    return AlphaTrace(times, values, "closed", 0.0)
+    return times, alpha_closed(case, times)
 
 
 def test_envelope_equal_couplings():
-    trace = _closed_form_trace(1.0, 4.0, 52.0, 12001)
-    assert envelope_exponent(trace, 5.0, 50.0) == pytest.approx(-1.5, abs=0.05)
+    times, values = _closed_form_trace(1.0, 4.0, 52.0, 12001)
+    assert envelope_exponent(times, values, 5.0, 50.0) == pytest.approx(-1.5, abs=0.05)
 
 
 def test_envelope_sqrt2():
-    trace = _closed_form_trace(math.sqrt(2.0), 4.0, 52.0, 12001)
-    assert envelope_exponent(trace, 5.0, 50.0) == pytest.approx(-0.5, abs=0.05)
+    times, values = _closed_form_trace(math.sqrt(2.0), 4.0, 52.0, 12001)
+    assert envelope_exponent(times, values, 5.0, 50.0) == pytest.approx(-0.5, abs=0.05)
 
 
 def test_envelope_synthetic_power_law():
     times = np.linspace(4.0, 52.0, 12001)
     values = np.cos(times) / times**2
-    trace = AlphaTrace(times, values, "closed", 0.0)
-    assert envelope_exponent(trace, 5.0, 50.0) == pytest.approx(-2.0, abs=0.02)
+    assert envelope_exponent(times, values, 5.0, 50.0) == pytest.approx(-2.0, abs=0.02)
 
 
 def test_envelope_needs_enough_peaks():
-    trace = _closed_form_trace(1.0, 4.0, 52.0, 12001)
+    times, values = _closed_form_trace(1.0, 4.0, 52.0, 12001)
     with pytest.raises(RuntimeError, match="peaks"):
-        envelope_exponent(trace, 5.0, 6.0)
+        envelope_exponent(times, values, 5.0, 6.0)
+
+
+def test_envelope_rejects_unsorted_times_and_mismatched_shapes():
+    times, values = _closed_form_trace(1.0, 4.0, 52.0, 12001)
+    with pytest.raises(ValueError, match="increasing"):
+        envelope_exponent(times[::-1], values[::-1], 5.0, 50.0)
+    repeated = times.copy()
+    repeated[100] = repeated[99]
+    with pytest.raises(ValueError, match="increasing"):
+        envelope_exponent(repeated, values, 5.0, 50.0)
+    for bad_times, bad_values in (
+        (times, values[:-1]),
+        (times[:-1], values),
+        (times.reshape(-1, 1), values.reshape(-1, 1)),
+        (times, values.reshape(-1, 1)),
+        (5.0, 0.5),
+    ):
+        with pytest.raises(ValueError, match="equal-length 1-d"):
+            envelope_exponent(bad_times, bad_values, 5.0, 50.0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwire.numerics import adaptive_simpson, bisect_root, bracket_first_sign_change
+from spinwire.numerics import adaptive_simpson, bisect_root
 
 
 def test_simpson_polynomial_exact():
@@ -107,17 +107,3 @@ def test_bisect_array_of_bracket_kinds():
     assert roots.tolist() == [3.0, 3.0, 3.0]
     assert bisect_root(_sawtooth, np.array([]), np.array([])).size == 0
 
-
-def test_bracket_marches_geometrically():
-    lo, hi = bracket_first_sign_change(lambda x: x - 1e-3, 1e-6, 10.0)
-    assert lo <= 1e-3 <= hi
-    assert hi / lo <= 1.05 + 1e-9
-
-
-def test_bracket_returns_none_without_root():
-    assert bracket_first_sign_change(lambda x: 1.0, 1e-6, 3.0) is None
-
-
-def test_bracket_rejects_bad_window():
-    with pytest.raises(ValueError):
-        bracket_first_sign_change(lambda x: x, 0.0, 1.0)

@@ -30,11 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwire import (
-    AlphaTrace,
     ChainSpec,
     ChebyshevAlpha,
     SpectralAlpha,
-    alpha_trace,
     bessel_j0,
     bessel_j1,
     build_generator,
@@ -90,10 +88,9 @@ def test_weights_normalized_and_spectrum_chiral(spec):
 
 def test_trace_normalization_and_bounds():
     spec = ChainSpec(1.0, 1.0, choose_chain_length(1.0, 10.0))
-    trace = alpha_trace(spec, np.linspace(0.0, 10.0, 401))
-    assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(trace.values)) <= 1.0 + 1e-12
-    assert trace.method == "matrix"
+    values = ChebyshevAlpha(spec)(np.linspace(0.0, 10.0, 401))
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(values)) <= 1.0 + 1e-12
 
 
 def test_matrix_matches_equal_couplings_closed_form():
@@ -355,15 +352,3 @@ def test_chain_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(1.0, math.inf, 4)
 
-
-def test_alpha_trace_validation():
-    with pytest.raises(ValueError):
-        alpha_trace(ChainSpec(1.0, 1.0, 4), [-1.0, 0.0])
-    with pytest.raises(ValueError):
-        AlphaTrace(np.array([0.0, 1.0]), np.array([1.0, 1.5]), "matrix", 0.0)
-    with pytest.raises(ValueError):
-        AlphaTrace(np.array([0.0, 1.0]), np.array([0.2, 0.1]), "matrix", 0.0)
-    with pytest.raises(ValueError):
-        AlphaTrace(np.array([1.0, 0.5]), np.array([0.2, 0.1]), "matrix", 0.0)
-    with pytest.raises(ValueError):
-        AlphaTrace(np.array([0.0, 1.0]), np.array([1.0, 0.1]), "magic", 0.0)

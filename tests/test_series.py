@@ -9,7 +9,9 @@ Claims checked here:
       rationals and zero couplings
     - the wire-off series is exactly the cosine series
     - numeric evaluation agrees with the in-repo Bessel oracles and the
-      matrix propagator inside the convergence window
+      matrix propagator inside the convergence window, also for random
+      couplings and orders, on every time where both the tail estimate
+      and a rounding bound of the alternating sum are small
     - coefficients alternate in sign for positive couplings
     - an array of times gives, value and error alike, the bits of one
       scalar call per time
@@ -27,16 +29,19 @@ from hypothesis import strategies as st
 
 from spinwire import (
     ChainSpec,
+    ChebyshevAlpha,
     SpectralAlpha,
     alpha_z,
     bessel_j0,
     bessel_j1,
     build_series,
+    choose_chain_length,
     evaluate_series,
     hypergeometric_coefficient,
     series_coefficient,
     walk_count,
 )
+from spinwire.series import horner
 
 COUPLING_GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (4, 1)]  # (K0^2, K^2)
 
@@ -197,6 +202,28 @@ def test_series_matches_propagator_inside_window(k0_sq, k_sq):
     for t in np.linspace(0.0, 2.0 / k, 41):
         value, _ = evaluate_series(series, float(t))
         assert abs(value - alpha(float(t))) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(k0=st.floats(0.05, 5.0), k=st.floats(0.05, 5.0), order=st.integers(4, 60),
+       reach=st.floats(0.5, 8.0))
+@example(k0=1.0, k=1.0, order=20, reach=8.0)
+@example(k0=5.0, k=0.05, order=60, reach=8.0)
+def test_series_matches_chebyshev_inside_window(k0, k, order, reach):
+    # reach is a t_max in units of 1/a, a = max(K0 + K, 2K) the Chebyshev scale
+    tmax = reach / max(k0 + k, 2.0 * k)
+    times = np.linspace(0.0, tmax, 41)
+    coeffs = build_series(Fraction(k0) ** 2, Fraction(k) ** 2, order)
+    values, tails = evaluate_series(coeffs, times)
+    # Horner's rounding: each of the M + 1 steps adds at most about
+    # 2 eps sum_j |c_j| t^(2j); twice that covers the float coefficients too
+    magnitude = horner([abs(float(c)) for c in coeffs.coeffs], times * times)
+    rounding = 4 * (order + 1) * 2.0**-52 * magnitude
+    window = (tails <= 1e-10) & (rounding <= 1e-10)
+    n_sites = choose_chain_length(k, tmax, 1e-10, k0=k0)
+    reference = ChebyshevAlpha(ChainSpec(k0, k, n_sites))(times)
+    assert window[0]
+    assert np.max(np.abs(values - reference)[window]) < 1e-9
 
 
 def test_build_rejects_bad_input():
