@@ -24,11 +24,9 @@ from .channels import (
     singlet_witness,
 )
 from .closed_forms import (
-    SpecialCase,
     alpha_closed,
     bessel_j0,
     bessel_j1,
-    classify_couplings,
     envelope_exponent,
 )
 from .propagator import (
@@ -42,12 +40,10 @@ from .propagator import (
     truncation_gap,
 )
 from .series import (
-    SeriesCoefficients,
     alpha_z,
     build_series,
     evaluate_series,
     hypergeometric_coefficient,
-    series_coefficient,
 )
 from .walks import catalan, enumerate_walks, walk_count, walk_row
 
@@ -56,8 +52,6 @@ __all__ = [
     "ChainSpec",
     "ChebyshevAlpha",
     "EigensolverError",
-    "SeriesCoefficients",
-    "SpecialCase",
     "SpectralAlpha",
     "WitnessTrace",
     "alpha_closed",
@@ -70,7 +64,6 @@ __all__ = [
     "catalan",
     "chi_metric",
     "choose_chain_length",
-    "classify_couplings",
     "enumerate_walks",
     "envelope_exponent",
     "evaluate_series",
@@ -78,7 +71,6 @@ __all__ = [
     "inflection_point",
     "magnetized_bloch_trace",
     "recurrence_demo",
-    "series_coefficient",
     "singlet_witness",
     "truncation_bound",
     "truncation_gap",

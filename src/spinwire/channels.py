@@ -96,7 +96,7 @@ def chi_metric(
     if r <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
     coeffs = build_series(k0_sq=r * r, k_sq=r**4, order=order)
-    chi = float(_chi_closed_form(coeffs.coeffs))
+    chi = float(_chi_closed_form(coeffs))
     if math.isinf(chi):
         raise OverflowError(f"chi at ratio {ratio} overflows a float (order {order})")
     if chi < 0:
@@ -191,7 +191,7 @@ def inflection_point(
     # Horner in x^2.
     coeffs = build_series(k0_sq=plug**2, k_sq=wire**2, order=order)
     second = [
-        float(coeffs.coeffs[j] * tau_sq**j * (2 * j) * (2 * j - 1))
+        float(coeffs[j] * tau_sq**j * (2 * j) * (2 * j - 1))
         for j in range(1, order + 1)
     ]
 
@@ -225,7 +225,7 @@ def inflection_point(
 # Magnetized environment
 # ---------------------------------------------------------------------------
 
-def magnetized_bloch_trace(spec: ChainSpec, times) -> tuple[np.ndarray, np.ndarray]:
+def magnetized_bloch_trace(spec: ChainSpec, times) -> np.ndarray:
     """Squared Bloch length of the qubit against a fully magnetized chain.
 
     The initial state (qubit along +x, every chain spin up) lives in the
@@ -238,12 +238,12 @@ def magnetized_bloch_trace(spec: ChainSpec, times) -> tuple[np.ndarray, np.ndarr
 
     At every zero of alpha0 the excitation has fully left the qubit and
     the state is again completely polarized (v^2 = 1); the global
-    minimum 3/4 sits at alpha0^2 = 1/2.  Returns the arrays (times, v^2).
+    minimum 3/4 sits at alpha0^2 = 1/2.  Returns v^2 at the given times,
+    in their shape; the caller keeps the times.
     """
-    times = np.asarray(times, dtype=float)
     alpha = ChebyshevAlpha(spec)(times)
     a_sq = alpha * alpha
-    return times, a_sq + (1.0 - a_sq) ** 2
+    return a_sq + (1.0 - a_sq) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,6 @@ def magnetized_bloch_trace(spec: ChainSpec, times) -> tuple[np.ndarray, np.ndarr
 class WitnessTrace:
     """Correlation-square witness samples and the intervals where it exceeds 1."""
 
-    times: np.ndarray
     witness: np.ndarray
     entangled_intervals: tuple[tuple[float, float], ...]
     death_time: float | None
@@ -277,7 +276,8 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
 
     Interval edges found on the grid are refined together by one array
     bisection.  The grid is the caller's resolution contract: intervals
-    narrower than one grid step can be missed.
+    narrower than one grid step can be missed.  The returned trace holds
+    W at each grid time, not the grid itself.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
@@ -314,7 +314,6 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
     rebirth_times = tuple(a for a, _ in intervals[1:])
 
     return WitnessTrace(
-        times=times,
         witness=w,
         entangled_intervals=tuple(intervals),
         death_time=death_time,

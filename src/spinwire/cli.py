@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, channels
 from .channels import magnetized_bloch_trace, recurrence_demo, singlet_witness
-from .closed_forms import alpha_closed, classify_couplings
+from .closed_forms import alpha_closed
 from .floatfmt import FORMAT as FLOAT_FORMAT, format_rows
 from .numerics import chunks
 # truncation_gap is unused here but stays importable: perfbench/tracer.py patches it by name.
@@ -239,8 +239,7 @@ def _run_alpha(params):
         # |alpha| <= 1 on any chain, so 2 is the trivial bound
         errors = np.full(steps, min(truncation_bound(k0, k, n_sites, tmax), 2.0))
     else:
-        case = classify_couplings(k0, k)
-        values = alpha_closed(case, times)
+        values = alpha_closed(k0, k, times)
         errors = np.zeros(steps)
 
     columns = [times, values, alpha_z(values), errors]
@@ -260,9 +259,8 @@ def _run_chi_scan(params):
 def _run_bloch(params):
     k0, k, tmax = params["k0"], params["k"], params["tmax"]
     n = _chain_length(k0, k, tmax, params["tol"])
-    times, v_sq = magnetized_bloch_trace(
-        ChainSpec(k0, k, n), np.linspace(0.0, tmax, params["steps"])
-    )
+    times = np.linspace(0.0, tmax, params["steps"])
+    v_sq = magnetized_bloch_trace(ChainSpec(k0, k, n), times)
     plot = (times, v_sq, "t", "v^2", "Bloch length, magnetized chain")
     return _csv("t,v_sq", [times, v_sq], _chain_comment(n, tmax)), None, plot
 
@@ -273,14 +271,15 @@ def _run_witness(params):
         ChainSpec(params[k0], params[k], _chain_length(params[k0], params[k], tmax, tol))
         for k0, k in (("k0a", "ka"), ("k0b", "kb"))
     )
-    trace = singlet_witness(spec_a, spec_b, np.linspace(0.0, tmax, params["steps"]))
+    times = np.linspace(0.0, tmax, params["steps"])
+    trace = singlet_witness(spec_a, spec_b, times)
     sidecar = {
         "death_time": trace.death_time,
         "rebirth_times": list(trace.rebirth_times),
         "intervals": [list(pair) for pair in trace.entangled_intervals],
     }
-    plot = (trace.times, trace.witness, "t", "witness", "singlet correlation witness")
-    return _csv("t,witness", [trace.times, trace.witness]), sidecar, plot
+    plot = (times, trace.witness, "t", "witness", "singlet correlation witness")
+    return _csv("t,witness", [times, trace.witness]), sidecar, plot
 
 
 def _run_recurrence(params):

@@ -28,7 +28,6 @@ sampled values by fitting their peak heights on log-log axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,58 +128,33 @@ def bessel_j1(x):
 
 
 # ---------------------------------------------------------------------------
-# Special-case classification and closed-form evaluation
+# Closed-form evaluation at the special coupling ratios
 # ---------------------------------------------------------------------------
 
-WIRE_OFF = "wire_off"
-SQRT2_RATIO = "sqrt2_ratio"
-EQUAL_COUPLINGS = "equal_couplings"
-GENERIC = "generic"
-
-
-@dataclass(frozen=True)
-class SpecialCase:
-    kind: str
-    k0: float
-    k: float
-
-
-def classify_couplings(k0: float, k: float) -> SpecialCase:
-    """Match a coupling pair against the analytically solvable cases."""
-    if k0 < 0 or k < 0:
-        raise ValueError("couplings must be non-negative")
-    if k == 0:
-        kind = WIRE_OFF
-    elif abs(k0 - math.sqrt(2.0) * k) <= RATIO_MATCH_TOL * k0:
-        kind = SQRT2_RATIO
-    elif abs(k0 - k) <= RATIO_MATCH_TOL * k0:
-        kind = EQUAL_COUPLINGS
-    else:
-        kind = GENERIC
-    return SpecialCase(kind=kind, k0=k0, k=k)
-
-
-def alpha_closed(case: SpecialCase, t):
+def alpha_closed(k0: float, k: float, t):
     """Closed-form alpha0 for the solvable coupling ratios.
 
-    A float t gives a float; an array gives an array of its shape.  The
-    equal-couplings form has a removable singularity at t = 0, where
-    the value is 1.  Generic ratios have no closed form; the matrix
-    propagator handles those.
+    The couplings are matched in order: K = 0 gives cos(K0 t), then
+    K0 = sqrt(2) K gives J0(2 K t) and K0 = K gives J1(2 K t) / (K t),
+    each ratio to within RATIO_MATCH_TOL relative to K0.  A float t gives
+    a float; an array gives an array of its shape.  The equal-couplings
+    form has a removable singularity at t = 0, where the value is 1.
+    Negative couplings and generic ratios, which have no closed form,
+    raise ValueError; the matrix propagator handles the latter.
     """
+    if k0 < 0 or k < 0:
+        raise ValueError("couplings must be non-negative")
     t_arr = np.asarray(t, dtype=float)
-    if case.kind == WIRE_OFF:
-        values = libm(math.cos, case.k0 * t_arr)
-    elif case.kind == SQRT2_RATIO:
-        values = bessel_j0(2.0 * case.k * t_arr)
-    elif case.kind == EQUAL_COUPLINGS:
-        y = case.k * t_arr
+    if k == 0:
+        values = libm(math.cos, k0 * t_arr)
+    elif abs(k0 - math.sqrt(2.0) * k) <= RATIO_MATCH_TOL * k0:
+        values = bessel_j0(2.0 * k * t_arr)
+    elif abs(k0 - k) <= RATIO_MATCH_TOL * k0:
+        y = k * t_arr
         at_zero = y == 0.0
         values = np.where(at_zero, 1.0, bessel_j1(2.0 * y) / np.where(at_zero, 1.0, y))
     else:
-        raise ValueError(
-            f"no closed form for k0={case.k0}, k={case.k}; use the matrix propagator"
-        )
+        raise ValueError(f"no closed form for k0={k0}, k={k}; use the matrix propagator")
     return _like_input(t, values)
 
 

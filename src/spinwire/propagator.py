@@ -294,7 +294,7 @@ def choose_chain_length(
     t_max: float,
     tol: float = DEFAULT_TRUNCATION_TOL,
     *,
-    k0: float | None = None,
+    k0: float,
 ) -> int:
     """Smallest certified chain length for simulating up to t_max.
 
@@ -303,21 +303,17 @@ def choose_chain_length(
     tol, so the returned N is certified on the whole grid 0 <= t <= t_max
     without an eigensolve.  Only a strong plug at long times needs more
     than the start.
-
-    The bound needs a plug coupling: k0 defaults to k.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    if not (0 <= k < math.inf and 0 <= k0 < math.inf):
+        raise ValueError(f"k and k0 must be finite and non-negative, got {k}, {k0}")
     if k == 0:
         return 2  # single-site environment; alpha0 is exactly periodic
-    plug = k if k0 is None else k0
-
     n = math.ceil(LIGHT_CONE_SPEED_FACTOR * k * t_max) + LIGHT_CONE_BUFFER
-    while truncation_bound(plug, k, n, t_max) >= tol:
+    while truncation_bound(k0, k, n, t_max) >= tol:
         n += 1
     return n
 
@@ -345,10 +341,9 @@ def truncation_bound(k0: float, k: float, n_sites: int, t_max: float) -> float:
     2048^m / m!, far beyond float range.  The result may exceed 2, the
     trivial bound; past float range it is inf, not an OverflowError.
     """
-    if min(k0, k, t_max) < 0 or n_sites < 2:
-        raise ValueError(
-            f"need k0, k, t_max >= 0 and n_sites >= 2, got {k0}, {k}, {t_max}, {n_sites}"
-        )
+    if not all(0 <= x < math.inf for x in (k0, k, t_max)) or n_sites < 2:
+        raise ValueError(f"need finite k0, k, t_max >= 0 and n_sites >= 2, "
+                         f"got {k0}, {k}, {t_max}, {n_sites}")
     a = max(k0 + k, 2.0 * k)
     chebyshev = math.log(4.0) + _log_tail(a * t_max / 2.0, 2 * n_sites, 2)
     dyson = math.log(2.0) + _log_tail(2.0 * k * t_max, 2 * n_sites - 2, 1)

@@ -28,9 +28,7 @@ of the float call, with the tail power taken from libm, not numpy.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -53,31 +51,6 @@ def _as_fraction(value: RationalLike, name: str) -> Fraction:
         raise ValueError(f"{name} must be a rational number, got {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Maclaurin data for alpha0: alpha0(t) ~ sum_j coeffs[j] * t^(2j)."""
-
-    k0_sq: Fraction
-    k_sq: Fraction
-    coeffs: tuple[Fraction, ...]
-
-    @functools.cached_property
-    def floats(self) -> tuple[float, ...]:
-        # Converted on first evaluation, then reused for every sample time.
-        return tuple(map(float, self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def series_coefficient(j: int, k0_sq: RationalLike, k_sq: RationalLike) -> Fraction:
-    """Exact coefficient of t^(2j) from the walk-count sum."""
-    if j < 0:
-        raise ValueError(f"series index must be non-negative, got {j}")
-    return build_series(k0_sq, k_sq, j).coeffs[j]
-
-
 def hypergeometric_coefficient(
     j: int, ratio_sq: RationalLike, k_sq: RationalLike = 1
 ) -> Fraction:
@@ -85,11 +58,11 @@ def hypergeometric_coefficient(
 
     z = ratio_sq = (K0/K)^2, and the prefactor is
     (-1)^j K^(2j)/(2j)! * z * (2j-2)! / ((j-1)! j!).  Equals
-    series_coefficient(j, z * k_sq, k_sq) as an exact rational; the two
+    build_series(z * k_sq, k_sq, j)[j] as an exact rational; the two
     routes share no code beyond Fraction arithmetic.
 
     j = 0 is rejected: the prefactor has (j-1)! and the constant term 1
-    belongs to series_coefficient.
+    belongs to build_series.
     """
     if j < 1:
         raise ValueError(f"hypergeometric form needs j >= 1, got {j}")
@@ -119,8 +92,8 @@ def hypergeometric_coefficient(
 
 def build_series(
     k0_sq: RationalLike, k_sq: RationalLike, order: int = DEFAULT_ORDER
-) -> SeriesCoefficients:
-    """Assemble exact coefficients c_0 .. c_order, c_j multiplying t^(2j)."""
+) -> tuple[Fraction, ...]:
+    """Exact coefficients (c_0, .., c_order), c_j multiplying t^(2j)."""
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     p = _as_fraction(k0_sq, "k0_sq")
@@ -144,7 +117,7 @@ def build_series(
             numerator = numerator * big_p + row[k] * q_powers[j - 1 - k]
         numerator *= big_p
         coeffs.append(Fraction(-numerator if j % 2 else numerator, denominator))
-    return SeriesCoefficients(k0_sq=p, k_sq=q, coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def horner(coeffs, u):
@@ -155,10 +128,11 @@ def horner(coeffs, u):
     return acc
 
 
-def evaluate_series(coeffs: SeriesCoefficients, t):
-    """Evaluate the truncated series at time t, a float or an array.
+def evaluate_series(coeffs: tuple[Fraction, ...], t):
+    """Evaluate the series with coefficients c_0 .. c_M at time t, a float or an array.
 
-    Horner in t^2 on float-converted coefficients.  The error estimate
+    The order M is len(coeffs) - 1.  Horner in t^2 on the coefficients,
+    converted to floats once per call.  The error estimate
     is twice the magnitude of the last retained term, a heuristic bound
     for the alternating tail; the caller decides whether that is good
     enough.  Outside the window where the estimate is small the
@@ -173,16 +147,16 @@ def evaluate_series(coeffs: SeriesCoefficients, t):
     on some inputs).  A power past the float range raises OverflowError
     either way.
     """
-    if coeffs.order < 2:
-        raise ValueError(f"series must be built to order >= 2, got {coeffs.order}")
+    order = len(coeffs) - 1
+    if order < 2:
+        raise ValueError(f"series must be built to order >= 2, got {order}")
+    floats = [float(c) for c in coeffs]
     u = t * t
-    order = coeffs.order
     try:
         power = libm(lambda v: v**order, u) if isinstance(u, np.ndarray) else u**order
     except OverflowError as exc:
         raise OverflowError(f"series tail power t**{2 * order} overflows a float") from exc
-    last_term = abs(coeffs.floats[-1]) * power
-    return horner(coeffs.floats, u), 2.0 * last_term
+    return horner(floats, u), 2.0 * (abs(floats[-1]) * power)
 
 
 def alpha_z(alpha_x: float) -> float:

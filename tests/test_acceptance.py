@@ -39,14 +39,12 @@ from spinwire import (
     build_series,
     chi_metric,
     choose_chain_length,
-    classify_couplings,
     enumerate_walks,
     envelope_exponent,
     evaluate_series,
     hypergeometric_coefficient,
     inflection_point,
     recurrence_demo,
-    series_coefficient,
     singlet_witness,
     walk_count,
 )
@@ -159,8 +157,7 @@ def test_criterion_02_equal_couplings_closed_form(capsys):
     n = choose_chain_length(1.0, 10.0, 1e-10, k0=1.0)
     times = np.linspace(0.0, 10.0, 1000)
     values = ChebyshevAlpha(ChainSpec(1.0, 1.0, n))(times)
-    case = classify_couplings(1.0, 1.0)
-    reference = np.array([alpha_closed(case, float(t)) for t in times])
+    reference = np.array([alpha_closed(1.0, 1.0, float(t)) for t in times])
     worst = float(np.max(np.abs(values - reference)))
     ok = worst < 1e-9
     with capsys.disabled():
@@ -173,10 +170,9 @@ def test_criterion_03_sqrt2_ratio_three_way(capsys):
     k0 = math.sqrt(2.0)
     n = choose_chain_length(1.0, 10.0, 1e-10, k0=k0)
     alpha = SpectralAlpha(ChainSpec(k0, 1.0, n))
-    case = classify_couplings(k0, 1.0)
 
     long_grid = np.linspace(0.0, 10.0, 1000)
-    closed_long = np.array([alpha_closed(case, float(t)) for t in long_grid])
+    closed_long = np.array([alpha_closed(k0, 1.0, float(t)) for t in long_grid])
     worst_matrix = float(np.max(np.abs(alpha(long_grid) - closed_long)))
 
     series = build_series(Fraction(2), Fraction(1), order=20)
@@ -186,7 +182,7 @@ def test_criterion_03_sqrt2_ratio_three_way(capsys):
         value, _ = evaluate_series(series, float(t))
         worst_series = max(
             worst_series,
-            abs(value - alpha_closed(case, float(t))),
+            abs(value - alpha_closed(k0, 1.0, float(t))),
             abs(value - alpha(float(t))),
         )
     ok = worst_matrix < 1e-9 and worst_series < 1e-9
@@ -200,7 +196,7 @@ def test_criterion_04_hypergeometric_identity(capsys):
     pairs = [(1, 1), (2, 1), (3, 1), (1, 2), (4, 1)]
     ok = all(
         hypergeometric_coefficient(j, Fraction(k0_sq, k_sq), k_sq)
-        == series_coefficient(j, k0_sq, k_sq)
+        == build_series(k0_sq, k_sq, j)[j]
         for k0_sq, k_sq in pairs
         for j in range(1, 21)
     )

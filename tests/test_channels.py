@@ -51,7 +51,7 @@ from spinwire import (
     recurrence_demo,
     singlet_witness,
 )
-from spinwire.closed_forms import alpha_closed, classify_couplings
+from spinwire.closed_forms import alpha_closed
 from spinwire.numerics import bisect_root
 from spinwire.propagator import ChebyshevAlpha
 from spinwire.series import horner
@@ -135,7 +135,7 @@ def exact_chi(ratio: float, order: int) -> float:
     k = 4 order + 100, whose remainder is far below what B can amplify.
     """
     r = Fraction(ratio)
-    c = build_series(r * r, r**4, order).coeffs
+    c = build_series(r * r, r**4, order)
     p_squared = sum(
         sum(c[i] * c[n - i] for i in range(max(0, n - order), min(n, order) + 1)) / (2 * n + 1)
         for n in range(2 * order + 1)
@@ -192,14 +192,13 @@ def test_inflection_depends_only_on_ratio():
 def test_inflection_matches_closed_form_at_equal_couplings():
     # independent oracle: finite-difference second derivative of
     # J1(2t)/t, root by bisection
-    case = classify_couplings(1.0, 1.0)
     h = 1e-4
 
     def d2(t: float) -> float:
         return (
-            alpha_closed(case, t + h)
-            - 2.0 * alpha_closed(case, t)
-            + alpha_closed(case, t - h)
+            alpha_closed(1.0, 1.0, t + h)
+            - 2.0 * alpha_closed(1.0, 1.0, t)
+            + alpha_closed(1.0, 1.0, t - h)
         ) / h**2
 
     oracle = bisect_root(d2, 1.0, 1.3, xtol=1e-10)
@@ -247,7 +246,7 @@ def _inflection_by_march(k0: float, k: float, order: int) -> float | None:
     """inflection_point's numeric root, one scalar evaluation per march step."""
     plug, wire = Fraction(k0), Fraction(k)
     tau_sq = wire**2 / plug**4
-    coeffs = build_series(plug**2, wire**2, order).coeffs
+    coeffs = build_series(plug**2, wire**2, order)
     second = [float(coeffs[j] * tau_sq**j * (2 * j) * (2 * j - 1)) for j in range(1, order + 1)]
 
     def d2(x):
@@ -313,7 +312,7 @@ def single_excitation_bloch_sq(spec: ChainSpec, times) -> np.ndarray:
 
 def test_magnetized_trace_starts_pure():
     spec = ChainSpec(math.sqrt(2.0), 1.0, 40)
-    _, v_sq = magnetized_bloch_trace(spec, [0.0])
+    v_sq = magnetized_bloch_trace(spec, [0.0])
     assert v_sq[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -321,7 +320,7 @@ def test_magnetized_formula_matches_state_vector_oracle():
     k0 = math.sqrt(2.0)
     spec = ChainSpec(k0, 1.0, choose_chain_length(1.0, 10.0, k0=k0))
     times = np.linspace(0.0, 10.0, 61)
-    _, formula = magnetized_bloch_trace(spec, times)
+    formula = magnetized_bloch_trace(spec, times)
     oracle = single_excitation_bloch_sq(spec, times)
     assert np.max(np.abs(formula - oracle)) < 1e-9
 
@@ -338,14 +337,14 @@ def test_magnetized_repolarizes_at_alpha_zeros():
             zeros.append(bisect_root(alpha, grid[i - 1], grid[i], xtol=1e-12))
     assert len(zeros) >= 5
     for t in zeros:
-        v_sq = magnetized_bloch_trace(spec, [t])[1][0]
+        v_sq = magnetized_bloch_trace(spec, [t])[0]
         assert abs(v_sq - 1.0) < 1e-6
 
 
 def test_magnetized_minimum_is_three_quarters():
     # v^2 = a^2 + (1 - a^2)^2 is minimal at a^2 = 1/2
     spec = ChainSpec(1.0, 1.0, 120)
-    _, values = magnetized_bloch_trace(spec, np.linspace(0.0, 30.0, 3001))
+    values = magnetized_bloch_trace(spec, np.linspace(0.0, 30.0, 3001))
     assert min(values) >= 0.75 - 1e-9
     a_sq = 0.5
     assert a_sq + (1 - a_sq) ** 2 == 0.75

@@ -26,6 +26,7 @@ Claims checked here:
     - the SVG points equal per-point formatting
     - neither the package import nor any README command loads scipy,
       and the spectral reference still does, on its first eigensolve
+    - every name in spinwire.__all__ resolves
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spinwire
 from spinwire import channels, cli, svg_plot
 from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
                           resolve_params)
@@ -705,3 +707,8 @@ def test_cli_never_imports_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in spinwire.__all__ if not hasattr(spinwire, name)]
+    assert spinwire.__all__ and not missing, missing

@@ -7,6 +7,9 @@ Claims checked here:
     - parity is exact and J1 = -J0' holds under finite differences
     - the three special-case closed forms match pinned values, each
       other's zeros, and the matrix propagator
+    - alpha_closed picks its form from the coupling ratio, to within
+      RATIO_MATCH_TOL on either side of sqrt(2) and 1, and raises for
+      generic ratios and negative couplings
     - both Bessel cases decay to zero at long times with envelope
       exponents -1/2 and -3/2; the envelope fit rejects times that are
       not strictly increasing and arrays that are not equal-length 1-d
@@ -30,7 +33,6 @@ from spinwire import (
     bessel_j0,
     bessel_j1,
     choose_chain_length,
-    classify_couplings,
     envelope_exponent,
 )
 from spinwire.closed_forms import SERIES_ASYMPTOTIC_SWITCH, SERIES_TERMS
@@ -111,12 +113,12 @@ def bessel_loop_reference(nu: int, x: float) -> float:
     return -value if nu == 1 and x < 0 else value
 
 
-def alpha_closed_loop_reference(case, t: float) -> float:
-    if case.kind == "wire_off":
-        return math.cos(case.k0 * t)
-    if case.kind == "sqrt2_ratio":
-        return bessel_loop_reference(0, 2.0 * case.k * t)
-    y = case.k * t
+def alpha_closed_loop_reference(form: str, k0: float, k: float, t: float) -> float:
+    if form == "cos":
+        return math.cos(k0 * t)
+    if form == "j0":
+        return bessel_loop_reference(0, 2.0 * k * t)
+    y = k * t
     return 1.0 if y == 0.0 else bessel_loop_reference(1, 2.0 * y) / y
 
 
@@ -142,10 +144,11 @@ def test_array_bessel_matches_scalar_loop_bitwise(nu, f, size):
 
 @pytest.mark.parametrize("k0,k", [(0.9, 0.0), (math.sqrt(2.0) * 0.8, 0.8), (1.3, 1.3)])
 def test_array_alpha_closed_matches_scalar_loop_bitwise(k0, k):
-    case = classify_couplings(k0, k)
+    form = "cos" if k == 0 else "j1" if k0 == k else "j0"
     times = np.linspace(0.0, 30.0, CHUNK + 1)
-    values = alpha_closed(case, times)
-    assert same_bits(values, [alpha_closed_loop_reference(case, t) for t in times.tolist()])
+    values = alpha_closed(k0, k, times)
+    expected = [alpha_closed_loop_reference(form, k0, k, t) for t in times.tolist()]
+    assert same_bits(values, expected)
     assert values[0] == 1.0
 
 
@@ -189,58 +192,69 @@ def test_j1_is_minus_j0_derivative():
         assert abs(derivative + bessel_j1(x)) < 1e-6
 
 
-def test_classification():
-    assert classify_couplings(1.0, 0.0).kind == "wire_off"
-    assert classify_couplings(math.sqrt(2.0), 1.0).kind == "sqrt2_ratio"
-    assert classify_couplings(1.0, 1.0).kind == "equal_couplings"
-    assert classify_couplings(1.0, 0.7).kind == "generic"
-    assert classify_couplings(2.0, 1.0).kind == "generic"
-    with pytest.raises(ValueError):
-        classify_couplings(-1.0, 1.0)
+def test_alpha_closed_picks_the_form_from_the_ratio():
+    t = 1.7
+    assert alpha_closed(1.0, 0.0, t) == math.cos(t)
+    assert alpha_closed(0.0, 0.0, t) == 1.0  # K = 0 is matched first
+    assert alpha_closed(math.sqrt(2.0), 1.0, t) == bessel_j0(2.0 * t)
+    assert alpha_closed(1.0, 1.0, t) == bessel_j1(2.0 * t) / t
+    y = 0.8 * t
+    assert alpha_closed(math.sqrt(2.0) * 0.8, 0.8, t) == bessel_j0(2.0 * y)
+    assert alpha_closed(0.8, 0.8, t) == bessel_j1(2.0 * y) / y
+    for k0, k in ((2.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="matrix propagator"):
+            alpha_closed(k0, k, t)
+    for k0, k in ((-1.0, 1.0), (1.0, -1.0), (-1.0, 0.0)):
+        with pytest.raises(ValueError, match="non-negative"):
+            alpha_closed(k0, k, t)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_alpha_closed_ratio_match_tolerance(side):
+    # RATIO_MATCH_TOL is 1e-12 of K0: 5e-13 off sqrt(2) or 1 still matches, 2e-12 off does not
+    t = 1.7
+    for ratio, form in ((math.sqrt(2.0), bessel_j0(2.0 * t)), (1.0, bessel_j1(2.0 * t) / t)):
+        assert alpha_closed(ratio * (1.0 + side * 5e-13), 1.0, t) == form
+        with pytest.raises(ValueError, match="matrix propagator"):
+            alpha_closed(ratio * (1.0 + side * 2e-12), 1.0, t)
 
 
 def test_alpha_closed_wire_off_revives_periodically():
-    case = classify_couplings(1.0, 0.0)
-    assert alpha_closed(case, math.pi) == pytest.approx(-1.0, abs=1e-12)
-    assert alpha_closed(case, 2 * math.pi) == pytest.approx(1.0, abs=1e-12)
+    assert alpha_closed(1.0, 0.0, math.pi) == pytest.approx(-1.0, abs=1e-12)
+    assert alpha_closed(1.0, 0.0, 2 * math.pi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alpha_closed_equal_couplings_removable_singularity():
-    case = classify_couplings(1.0, 1.0)
-    assert alpha_closed(case, 0.0) == 1.0
-    assert alpha_closed(case, 1e-9) == pytest.approx(1.0, abs=1e-12)
+    assert alpha_closed(1.0, 1.0, 0.0) == 1.0
+    assert alpha_closed(1.0, 1.0, 1e-9) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alpha_closed_sqrt2_zero_crossing():
-    case = classify_couplings(math.sqrt(2.0), 1.0)
     t = 2.404825557695773 / 2.0  # first zero of J0, halved for the 2Kt argument
-    assert abs(alpha_closed(case, t)) < 1e-10
+    assert abs(alpha_closed(math.sqrt(2.0), 1.0, t)) < 1e-10
 
 
 def test_alpha_closed_rejects_generic():
     with pytest.raises(ValueError, match="matrix propagator"):
-        alpha_closed(classify_couplings(1.0, 0.7), 1.0)
+        alpha_closed(1.0, 0.7, 1.0)
 
 
 @pytest.mark.parametrize("k0", [1.0, math.sqrt(2.0)])
 def test_closed_forms_match_propagator(k0):
-    case = classify_couplings(k0, 1.0)
     alpha = SpectralAlpha(ChainSpec(k0, 1.0, choose_chain_length(1.0, 10.0, k0=k0)))
     for t in np.linspace(0.0, 10.0, 101):
-        assert abs(alpha_closed(case, float(t)) - alpha(float(t))) < 1e-9
+        assert abs(alpha_closed(k0, 1.0, float(t)) - alpha(float(t))) < 1e-9
 
 
 @pytest.mark.parametrize("k0", [1.0, math.sqrt(2.0)])
 def test_closed_forms_vanish_at_long_times(k0):
-    case = classify_couplings(k0, 1.0)
-    values = [abs(alpha_closed(case, t)) for t in np.linspace(100.0, 200.0, 2001)]
+    values = [abs(alpha_closed(k0, 1.0, t)) for t in np.linspace(100.0, 200.0, 2001)]
     assert max(values) < 0.06
 
 
 def _closed_form_trace(k0: float, t_lo: float, t_hi: float, n: int):
-    case = classify_couplings(k0, 1.0)
     times = np.linspace(t_lo, t_hi, n)
-    return times, alpha_closed(case, times)
+    return times, alpha_closed(k0, 1.0, times)
 
 
 def test_envelope_equal_couplings():

@@ -11,7 +11,8 @@ Claims checked here:
       random couplings, against a chain four times longer
     - chain-length selection starts at the light cone, grows only while
       the bound exceeds tol, runs no eigensolve, and grows linearly in
-      t_max
+      t_max; it needs the plug coupling k0, and it and the bound raise
+      ValueError for a nan or infinite coupling or t_max
     - the Chebyshev evaluator agrees with the spectral one on random
       chains, returns the same bits for a scalar as for the grid it sits
       in, and its Miller Bessel sums match scipy.special.jv; the CLI runs
@@ -87,14 +88,14 @@ def test_weights_normalized_and_spectrum_chiral(spec):
 
 
 def test_trace_normalization_and_bounds():
-    spec = ChainSpec(1.0, 1.0, choose_chain_length(1.0, 10.0))
+    spec = ChainSpec(1.0, 1.0, choose_chain_length(1.0, 10.0, k0=1.0))
     values = ChebyshevAlpha(spec)(np.linspace(0.0, 10.0, 401))
     assert values[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(values)) <= 1.0 + 1e-12
 
 
 def test_matrix_matches_equal_couplings_closed_form():
-    alpha = SpectralAlpha(ChainSpec(1.0, 1.0, choose_chain_length(1.0, 10.0)))
+    alpha = SpectralAlpha(ChainSpec(1.0, 1.0, choose_chain_length(1.0, 10.0, k0=1.0)))
     for t in np.linspace(1e-3, 10.0, 97):
         expected = bessel_j1(2.0 * t) / t
         assert abs(alpha(float(t)) - expected) < 1e-9
@@ -109,7 +110,7 @@ def test_matrix_matches_sqrt2_closed_form():
 
 
 def test_choose_chain_length_light_cone_start():
-    assert choose_chain_length(1.0, 10.0, 1e-10) == 70  # ceil(2*1*10) + 50
+    assert choose_chain_length(1.0, 10.0, 1e-10, k0=1.0) == 70  # ceil(2*1*10) + 50
     # (k0, k, t_max) -> ceil(2 k t_max) + 50: the bound is already below tol there
     for k0, k, t_max, start in ((1, 1, 1, 52), (32, 1024, 1, 2098), (1, 1, 1000, 2050)):
         assert choose_chain_length(k, t_max, 1e-10, k0=k0) == start
@@ -317,17 +318,17 @@ def _one_row(x, order, coefficients):
 
 
 def test_choose_chain_length_wire_off():
-    assert choose_chain_length(0.0, 10.0, 1e-10) == 2
+    assert choose_chain_length(0.0, 10.0, 1e-10, k0=1.0) == 2
 
 
 def test_choose_chain_length_grows_linearly():
-    lengths = [choose_chain_length(1.0, t, 1e-10) for t in (25.0, 50.0, 100.0)]
+    lengths = [choose_chain_length(1.0, t, 1e-10, k0=1.0) for t in (25.0, 50.0, 100.0)]
     slope = np.polyfit([25.0, 50.0, 100.0], lengths, 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
 def test_certified_length_converges_everywhere():
-    n = choose_chain_length(1.0, 10.0, 1e-10)
+    n = choose_chain_length(1.0, 10.0, 1e-10, k0=1.0)
     base = SpectralAlpha(ChainSpec(1.0, 1.0, n))
     doubled = SpectralAlpha(ChainSpec(1.0, 1.0, 2 * n))
     times = np.linspace(0.0, 10.0, 201)
@@ -337,11 +338,24 @@ def test_certified_length_converges_everywhere():
 
 def test_choose_chain_length_rejects_bad_input():
     with pytest.raises(ValueError):
-        choose_chain_length(1.0, 0.0)
+        choose_chain_length(1.0, 0.0, k0=1.0)
     with pytest.raises(ValueError):
-        choose_chain_length(1.0, 1.0, tol=2.0)
+        choose_chain_length(1.0, 1.0, tol=2.0, k0=1.0)
     with pytest.raises(ValueError):
-        choose_chain_length(-1.0, 1.0)
+        choose_chain_length(-1.0, 1.0, k0=1.0)
+    with pytest.raises(TypeError, match="k0"):  # the plug coupling has no default
+        choose_chain_length(1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_couplings_and_times_raise(bad):
+    # truncation_bound first: a nan there once made choose_chain_length grow n forever
+    for k0, k, t_max in ((bad, 1.0, 10.0), (1.0, bad, 10.0), (1.0, 1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            truncation_bound(k0, k, 100, t_max)
+    for k0, k, t_max in ((bad, 1.0, 10.0), (1.0, bad, 10.0), (1.0, 1.0, bad), (bad, 0.0, 10.0)):
+        with pytest.raises(ValueError, match="finite"):
+            choose_chain_length(k, t_max, k0=k0)
 
 
 def test_chain_spec_validation():
