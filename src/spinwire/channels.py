@@ -28,7 +28,7 @@ import numpy as np
 
 from .numerics import bisect_root
 from .propagator import ChainSpec, ChebyshevAlpha
-from .series import DEFAULT_ORDER, _as_fraction, build_series, evaluate_series, horner
+from .series import DEFAULT_ORDER, _as_fraction, build_series, horner
 
 WITNESS_THRESHOLD = 1.0
 CROSSING_XTOL = 1e-9
@@ -102,7 +102,11 @@ def chi_metric(
     if chi < 0:
         raise ValueError(f"chi at ratio {ratio} is negative: {chi!r} (order {order})")
 
-    _, tail = evaluate_series(coeffs, 1.0)
+    # the series error estimate at x = 1, twice the last coefficient
+    try:
+        tail = 2.0 * abs(float(coeffs[-1]))
+    except OverflowError:
+        tail = math.inf
     if tail > quad_tol:
         warnings.warn(
             f"series truncation error {tail:.3g} at x=1 exceeds quad_tol "
@@ -125,6 +129,9 @@ def _chi_closed_form(coeffs) -> Decimal:
     e^-1 sum_{k>2M} (2M)!/k!; the downward recurrence
     I_(n-1) = (I_n + e^-1) / n gives the rest and divides an error by n
     at each step, where n! - M_n e^-1 would cancel by about (2M)!.
+    As |e^-x| < 1 on [0, 1], chi >= (||P|| - 1)^2: an integral of P^2
+    above 2^1025 proves chi past the float range, and gives Infinity
+    before e^-1 is computed.
     """
     # an integer >= 1 + sum |c_j|, without the gcds of a Fraction sum
     bound = sum(abs(q.numerator) // q.denominator + 1 for q in coeffs)
@@ -135,7 +142,6 @@ def _chi_closed_form(coeffs) -> Decimal:
         ctx.prec = places + 2 * digits  # P^2 has at most 2 * digits before the point
         c = [Decimal(q.numerator * 10**places // q.denominator).scaleb(-places)
              for q in coeffs]
-        e_inv = Decimal(-1).exp()
 
         p_squared = Decimal(0)
         for n in range(2 * top + 1):
@@ -143,6 +149,10 @@ def _chi_closed_form(coeffs) -> Decimal:
                         Decimal(0))
             diagonal = c[n // 2] ** 2 if n % 2 == 0 else 0
             p_squared += (2 * pairs + diagonal) / (2 * n + 1)
+        if p_squared > 2**1025:
+            return Decimal("Infinity")
+
+        e_inv = Decimal(-1).exp()
 
         moment, term, k = Decimal(0), Decimal(1), 2 * top
         while moment + term != moment:

@@ -134,8 +134,9 @@ def bessel_j1(x):
 def alpha_closed(k0: float, k: float, t):
     """Closed-form alpha0 for the solvable coupling ratios.
 
-    The couplings are matched in order: K = 0 gives cos(K0 t), then
-    K0 = sqrt(2) K gives J0(2 K t) and K0 = K gives J1(2 K t) / (K t),
+    The couplings are matched in order: K = 0 gives cos(K0 t), K0 = 0 (a
+    decoupled qubit) gives 1, then K0 = sqrt(2) K gives J0(2 K t) and
+    K0 = K gives J1(2 K t) / (K t),
     each ratio to within RATIO_MATCH_TOL relative to K0.  A float t gives
     a float; an array gives an array of its shape.  The equal-couplings
     form has a removable singularity at t = 0, where the value is 1.
@@ -147,6 +148,8 @@ def alpha_closed(k0: float, k: float, t):
     t_arr = np.asarray(t, dtype=float)
     if k == 0:
         values = libm(math.cos, k0 * t_arr)
+    elif k0 == 0:
+        values = np.ones_like(t_arr)
     elif abs(k0 - math.sqrt(2.0) * k) <= RATIO_MATCH_TOL * k0:
         values = bessel_j0(2.0 * k * t_arr)
     elif abs(k0 - k) <= RATIO_MATCH_TOL * k0:

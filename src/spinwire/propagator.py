@@ -19,12 +19,9 @@ with a = max(K0+K, 2K) >= ||h|| and the moments
 mu_2m = <e0|T_2m(h/a)|e0> = 2 ||T_m(h/a) e0||^2 - 1 taken from the
 three-term Chebyshev recurrence, and the Bessel values from one Miller
 loop over an array of times.  :class:`SpectralAlpha` evaluates the chain
-through one tridiagonal eigensolve, alpha0(t) = sum_m w_m cos(lambda_m t);
-it is the independent reference of the tests.  Its solver,
-:func:`eigh_tridiagonal`, imports scipy on the first eigensolve, so the
-CLI loads only numpy.  The module-level name stays because
-perfbench/tracer.py and test_no_eigensolve_and_moments_once_per_chain
-patch it.
+through one dense eigensolve, alpha0(t) = sum_m w_m cos(lambda_m t), the
+Gauss quadrature of the site-0 spectral measure (Golub & Welsch 1969);
+it is the independent reference of the tests.
 
 The physical chain is semi-infinite; a finite truncation is exact for all
 practical purposes once the chain outruns the operator light cone
@@ -40,6 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import chunks
 
 WEIGHT_SUM_TOL = 1e-12
 MOMENT_TOL = 1e-12
@@ -252,19 +251,17 @@ def _series_order(x: float) -> int:
 
 
 def eigh_tridiagonal(d, e):
-    """scipy.linalg.eigh_tridiagonal, imported on the first eigensolve."""
-    from scipy.linalg import eigh_tridiagonal as solve
+    """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by one dense numpy.linalg.eigh."""
+    return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
-    return solve(d, e)
 
-
-# SpectralAlpha and eigh_tridiagonal stay as the tests' reference. scipy loads
-# only when an eigensolve runs; the module-level name stays because
-# perfbench/tracer.py and test_no_eigensolve_and_moments_once_per_chain patch it.
 class SpectralAlpha:
-    """alpha0(t) evaluator bound to one chain, by one tridiagonal eigensolve.
+    """alpha0(t) evaluator bound to one chain, by one dense eigensolve.
 
-    Does the eigensolve once; calls are then a cosine sum.
+    Does the eigensolve once; calls are then a cosine sum over one CHUNK
+    of times at a time, so a call holds at most CHUNK x N cosines.  A
+    float t gives a float; an array gives an array of its shape.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -285,8 +282,13 @@ class SpectralAlpha:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        values = np.cos(np.outer(np.atleast_1d(t_arr), self.eigenvalues)) @ self.weights
-        return float(values[0]) if t_arr.ndim == 0 else values
+        flat = t_arr.ravel()
+        values = np.empty(flat.size)
+        for block in chunks(flat.size):
+            phases = np.outer(flat[block], self.eigenvalues)
+            values[block] = np.cos(phases, out=phases) @ self.weights
+            del phases  # freed before the next block is allocated
+        return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
 
 
 def choose_chain_length(

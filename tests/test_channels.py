@@ -4,7 +4,9 @@ Claims checked here:
     - the reduced channel contracts (ax, ay, a^2 z), stays inside the
       Bloch ball, and composes as a semigroup in alpha
     - chi decreases over the first seven scan ratios and warns loudly
-      once truncation takes over
+      once truncation takes over, also when the last series coefficient
+      is past the float range; a chi past the float range raises
+      OverflowError without computing e^-1
     - chi equals, to 2 ulp, an exact-Fraction evaluation of its closed
       form written here: the x^n e^-x moments as n! - M_n e^-1 and e^-1
       as a partial sum far past double precision
@@ -26,6 +28,7 @@ Claims checked here:
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -118,6 +121,23 @@ def test_chi_warns_when_truncation_dominates():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert blown_up > chi_metric(2.0 * math.sqrt(2.0))
+
+
+def test_chi_warns_when_the_last_coefficient_passes_float_range(monkeypatch):
+    # at ratio 20 the order-300 series ends in coefficients past 1e308: the
+    # warning reads them as an infinite tail instead of failing to convert them
+    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: Decimal("1e-3"))
+    with pytest.warns(RuntimeWarning, match="truncation error inf"):
+        assert chi_metric(20.0, order=300) == 1e-3
+
+
+def test_chi_past_float_range_raises_before_e_inv():
+    # the integral of P^2 already proves the overflow; e^-1 at the digits
+    # this chi would need takes about 27 s
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="overflows a float"):
+        chi_metric(1e100, order=20)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_negative_chi_raises(monkeypatch):

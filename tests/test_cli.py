@@ -6,6 +6,7 @@ Claims checked here:
       and is built one row of counts per block it yields
     - CSV schemas and the pinned single-row alpha output are stable
     - a chain length is echoed only when one was chosen
+    - the closed route gives the matrix route's 1 for a decoupled qubit
     - identical invocations produce byte-identical files
     - config files merge under flags; --help and --version return 0,
       junk arguments return 2 (no SystemExit escapes main) and
@@ -24,8 +25,8 @@ Claims checked here:
     - only a missing or regular-file target is replaced through a
       temporary file; a device or a symlink is written through
     - the SVG points equal per-point formatting
-    - neither the package import nor any README command loads scipy,
-      and the spectral reference still does, on its first eigensolve
+    - the package import, every README command, the spectral reference
+      and truncation_gap run in a process where importing scipy raises
     - every name in spinwire.__all__ resolves
 """
 
@@ -155,6 +156,17 @@ def test_alpha_methods_agree(capsys):
     for a, b, c in zip(rows["series"], rows["matrix"], rows["closed"]):
         assert abs(a - b) < 1e-9
         assert abs(a - c) < 1e-9
+
+
+def test_closed_decoupled_qubit_equals_matrix(capsys):
+    # K0 = 0: the qubit never sees the wire, so alpha0 is 1 on both routes
+    args = ("--k0", "0", "--k", "1", "--tmax", "3", "--steps", "7")
+    columns = {}
+    for method in ("matrix", "closed"):
+        out = run_cli(capsys, "alpha", "--method", method, *args)
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        columns[method] = [row[1] for row in rows[1:]]
+    assert columns["closed"] == columns["matrix"] == ["1"] * 7
 
 
 def test_matrix_echoes_chosen_length(capsys):
@@ -679,27 +691,27 @@ def test_module_entry_point_runs():
 
 README_EXAMPLES_WITHOUT_SCIPY = """
 import contextlib, os, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
 import spinwire, spinwire.cli
-assert "scipy" not in sys.modules, "import spinwire.cli"
 with open(sys.argv[1], encoding="utf-8") as readme:
     lines = [line.split()[1:] for line in readme if line.startswith("spinwire ")]
 assert lines, "no spinwire lines in README.md"
 for argv in lines:
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert spinwire.cli.main(argv) == 0, argv
-    assert "scipy" not in sys.modules, argv
-from spinwire.propagator import ChainSpec, ChebyshevAlpha, SpectralAlpha
+from spinwire.propagator import ChainSpec, ChebyshevAlpha, SpectralAlpha, truncation_gap
 spec = ChainSpec(1.0, 1.0, 8)
 times = [0.0, 0.5, 1.7, 4.0]
 gap = max(abs(SpectralAlpha(spec)(t) - ChebyshevAlpha(spec)(t)) for t in times)
 assert gap <= 1e-12, gap
-assert "scipy.linalg" in sys.modules
+assert truncation_gap(ChainSpec(1.0, 1.0, 60), 5.0) <= 1e-12
+assert sys.modules["scipy"] is None
 """
 
 
 def test_cli_never_imports_scipy(tmp_path):
-    # each `spinwire ...` line of README.md, split on whitespace as the CI step does;
-    # the spectral reference still loads scipy, lazily, and agrees with the CLI's engine
+    # each `spinwire ...` line of README.md, split on whitespace as the CI step does,
+    # then the spectral reference, all in a process where importing scipy raises
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     result = subprocess.run(

@@ -8,8 +8,9 @@ Claims checked here:
     - the three special-case closed forms match pinned values, each
       other's zeros, and the matrix propagator
     - alpha_closed picks its form from the coupling ratio, to within
-      RATIO_MATCH_TOL on either side of sqrt(2) and 1, and raises for
-      generic ratios and negative couplings
+      RATIO_MATCH_TOL on either side of sqrt(2) and 1, gives 1 for a
+      decoupled qubit (K0 = 0), and raises for generic ratios and
+      negative couplings
     - both Bessel cases decay to zero at long times with envelope
       exponents -1/2 and -3/2; the envelope fit rejects times that are
       not strictly increasing and arrays that are not equal-length 1-d
@@ -196,14 +197,15 @@ def test_alpha_closed_picks_the_form_from_the_ratio():
     t = 1.7
     assert alpha_closed(1.0, 0.0, t) == math.cos(t)
     assert alpha_closed(0.0, 0.0, t) == 1.0  # K = 0 is matched first
+    assert alpha_closed(0.0, 1.0, t) == 1.0  # a decoupled qubit
+    assert np.array_equal(alpha_closed(0.0, 1.0, np.array([0.0, t])), [1.0, 1.0])
     assert alpha_closed(math.sqrt(2.0), 1.0, t) == bessel_j0(2.0 * t)
     assert alpha_closed(1.0, 1.0, t) == bessel_j1(2.0 * t) / t
     y = 0.8 * t
     assert alpha_closed(math.sqrt(2.0) * 0.8, 0.8, t) == bessel_j0(2.0 * y)
     assert alpha_closed(0.8, 0.8, t) == bessel_j1(2.0 * y) / y
-    for k0, k in ((2.0, 1.0), (0.0, 1.0)):
-        with pytest.raises(ValueError, match="matrix propagator"):
-            alpha_closed(k0, k, t)
+    with pytest.raises(ValueError, match="matrix propagator"):
+        alpha_closed(2.0, 1.0, t)
     for k0, k in ((-1.0, 1.0), (1.0, -1.0), (-1.0, 0.0)):
         with pytest.raises(ValueError, match="non-negative"):
             alpha_closed(k0, k, t)
