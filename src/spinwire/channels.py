@@ -96,6 +96,8 @@ def chi_metric(
     if r <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
     coeffs = build_series(k0_sq=r * r, k_sq=r**4, order=order)
+    if order < 2:
+        raise ValueError(f"series must be built to order >= 2, got {order}")
     chi = float(_chi_closed_form(coeffs))
     if math.isinf(chi):
         raise OverflowError(f"chi at ratio {ratio} overflows a float (order {order})")

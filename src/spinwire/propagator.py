@@ -38,8 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import chunks
-
 WEIGHT_SUM_TOL = 1e-12
 MOMENT_TOL = 1e-12
 BESSEL_TAIL_TOL = 2.0**-54  # half an ulp of 1: the dropped Bessel terms sit below rounding
@@ -259,9 +257,7 @@ def eigh_tridiagonal(d, e):
 class SpectralAlpha:
     """alpha0(t) evaluator bound to one chain, by one dense eigensolve.
 
-    Does the eigensolve once; calls are then a cosine sum over one CHUNK
-    of times at a time, so a call holds at most CHUNK x N cosines.  A
-    float t gives a float; an array gives an array of its shape.
+    Does the eigensolve once; calls are then a cosine sum.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -282,13 +278,8 @@ class SpectralAlpha:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        flat = t_arr.ravel()
-        values = np.empty(flat.size)
-        for block in chunks(flat.size):
-            phases = np.outer(flat[block], self.eigenvalues)
-            values[block] = np.cos(phases, out=phases) @ self.weights
-            del phases  # freed before the next block is allocated
-        return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
+        values = np.cos(np.outer(np.atleast_1d(t_arr), self.eigenvalues)) @ self.weights
+        return float(values[0]) if t_arr.ndim == 0 else values
 
 
 def choose_chain_length(

@@ -14,7 +14,7 @@ Claims checked here:
       finite-difference root of the closed form at equal couplings, and
       drifts to zero as the wire dominates; its one-call grid search
       gives the bits of the scalar geometric march kept here
-    - a negative chi is a ValueError
+    - a negative chi is a ValueError, and so is a series order below 2
     - the magnetized-chain Bloch length matches a matrix-exponential
       state-vector oracle built here from the dense generator
     - the singlet witness starts at 3, dies at the quartic-root
@@ -188,6 +188,12 @@ def test_chi_rejects_bad_ratio():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             chi_metric(bad)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_chi_rejects_orders_below_two(order):
+    with pytest.raises(ValueError, match="order >= 2"):
+        chi_metric(1.0, order)
 
 
 # -------------------------------------------------------------- inflection --

@@ -13,8 +13,6 @@ Claims checked here:
       the bound exceeds tol, runs no eigensolve, and grows linearly in
       t_max; it needs the plug coupling k0, and it and the bound raise
       ValueError for a nan or infinite coupling or t_max
-    - the spectral evaluator holds one CHUNK of times' cosines at a
-      time, with the values of a one-block sum, in its input's shape
     - the Chebyshev evaluator agrees with the spectral one on random
       chains, returns the same bits for a scalar as for the grid it sits
       in, and its Miller Bessel sums match scipy.special.jv; the CLI runs
@@ -24,7 +22,6 @@ Claims checked here:
 from __future__ import annotations
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -337,26 +334,6 @@ def test_certified_length_converges_everywhere():
     times = np.linspace(0.0, 10.0, 201)
     assert np.max(np.abs(base(times) - doubled(times))) < 1e-10
     assert truncation_gap(ChainSpec(1.0, 1.0, n), 10.0) < 1e-10
-
-
-def test_spectral_sum_holds_one_chunk_of_cosines():
-    # one block of 4096 x 500 cosines is 16.4 MB; all 20 000 times at once
-    # would be 80 MB, twice
-    alpha = SpectralAlpha(ChainSpec(1.0, 1.0, 500))
-    times = np.linspace(0.0, 50.0, 20_000)
-    tracemalloc.start()
-    try:
-        values = alpha(times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6, peak
-    cosines = np.outer(times, alpha.eigenvalues)
-    np.cos(cosines, out=cosines)
-    assert np.array_equal(values, cosines @ alpha.weights)
-    assert np.array_equal(alpha(times.reshape(100, 200)), values.reshape(100, 200))
-    one = alpha(float(times[4100]))  # a one-row sum may round differently
-    assert type(one) is float and abs(one - values[4100]) < 1e-15
 
 
 def test_choose_chain_length_rejects_bad_input():
