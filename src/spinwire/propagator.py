@@ -278,7 +278,11 @@ class SpectralAlpha:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        values = np.cos(np.outer(np.atleast_1d(t_arr), self.eigenvalues)) @ self.weights
+        # each row summed by numpy's own pairwise sum, so a float t gets the bits it
+        # gets inside a grid; a matrix-vector product sums one row in another order
+        terms = np.cos(np.outer(np.atleast_1d(t_arr), self.eigenvalues))
+        terms *= self.weights
+        values = terms.sum(axis=1)
         return float(values[0]) if t_arr.ndim == 0 else values
 
 

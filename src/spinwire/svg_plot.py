@@ -1,14 +1,17 @@
 """Minimal self-contained SVG line charts.
 
 Presentation only: nothing here feeds back into any computation.  The
-output is deterministic (no timestamps, no randomized ids), so repeated
-runs produce identical files.
+output is deterministic (no timestamps, no randomized ids, "\n" line
+endings on every platform), so repeated runs produce identical files.
+The polyline points are converted one CHUNK at a time by
+floatfmt.format_points, byte for byte what per-point ``%.2f`` gives.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .floatfmt import format_points
 from .numerics import chunks
 
 WIDTH, HEIGHT = 720, 480
@@ -26,7 +29,7 @@ def emit_plot(xs, ys, *, xlabel: str, ylabel: str, title: str, path: str) -> Non
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("plot data must be finite")
     parts = _render(xs, ys, xlabel, ylabel, title)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for part in parts:
             handle.write(part)
 
@@ -93,10 +96,7 @@ def _render(xs, ys, xlabel, ylabel, title):
     # px and py run elementwise on arrays with the same float64 operations.
     xy = np.column_stack([px(xs), py(ys)])
     for block in chunks(len(xy)):
-        pairs = xy[block]
-        yield (" " if block.start else "") + " ".join(["%.2f,%.2f"] * len(pairs)) % tuple(
-            pairs.ravel().tolist()
-        )
+        yield (" " if block.start else "") + format_points(xy[block])
     yield '"/>\n</svg>\n'
 
 

@@ -24,7 +24,8 @@ Claims checked here:
       memory stays bounded on a million-row grid
     - only a missing or regular-file target is replaced through a
       temporary file; a device or a symlink is written through
-    - the SVG points equal per-point formatting
+    - the SVG points equal per-point formatting across chunk joins, and
+      the SVG is written with "\n" line endings on every platform
     - the package import, every README command, the spectral reference
       and truncation_gap run in a process where importing scipy raises
     - every name in spinwire.__all__ resolves
@@ -636,7 +637,7 @@ def test_sidecar_is_last_line_after_streamed_chunks(capsys):
 
 
 def test_plot_points_equal_per_point_format(tmp_path):
-    xs = np.linspace(-3.0, 7.0, CHUNK + 1)
+    xs = np.linspace(-3.0, 7.0, 3 * CHUNK + 1)
     ys = np.sin(3.0 * xs) * 1e3
     path = tmp_path / "p.svg"
     svg_plot.emit_plot(xs, ys, xlabel="x", ylabel="y", title="t", path=str(path))
@@ -652,6 +653,19 @@ def test_plot_points_equal_per_point_format(tmp_path):
     body = path.read_text()
     assert re.search(r'points="([^"]*)"', body).group(1) == expected
     assert body.endswith('"/>\n</svg>\n')
+
+
+def test_plot_pins_newlines(tmp_path, monkeypatch):
+    newlines = []
+
+    def spy(*args, **kwargs):
+        newlines.append(kwargs.get("newline"))
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(svg_plot, "open", spy, raising=False)
+    svg_plot.emit_plot([0.0, 1.0], [1.0, 0.0], xlabel="x", ylabel="y", title="t",
+                       path=str(tmp_path / "p.svg"))
+    assert newlines == ["\n"]
 
 
 def test_recurrence_memory_stays_bounded(tmp_path):

@@ -6,7 +6,8 @@ Claims checked here:
     - a two-site chain gives alpha0(t) = cos(K0 t) exactly
     - the spectrum is chiral and the sine part of the propagator entry
       cancels, so alpha0 is real, even, and bounded by 1
-    - the spectral alpha0 agrees with the Bessel closed forms
+    - the spectral alpha0 agrees with the Bessel closed forms, and gives
+      a float t the bits it has inside a grid
     - the a-priori truncation bound holds on the whole time grid for
       random couplings, against a chain four times longer
     - chain-length selection starts at the light cone, grows only while
@@ -210,6 +211,15 @@ def test_chebyshev_matches_spectral(k0, k, n, log_reach):
     # grow into the phases, Chebyshev recurrence errors grow with the order
     tol = 64.0 * np.finfo(float).eps * (1.0 + a * t_max)
     assert np.max(np.abs(values - SpectralAlpha(spec)(times))) <= tol
+
+
+@pytest.mark.parametrize("k0, k, n", [(1.0, 1.0, 200), (1.3, 0.7, 37), (5.0, 1.0, 2)])
+def test_spectral_scalar_equals_array(k0, k, n):
+    times = np.linspace(0.0, 50.0, 1000)
+    alpha = SpectralAlpha(ChainSpec(k0, k, n))
+    grid = alpha(times)
+    assert np.array_equal(grid, [alpha(float(t)) for t in times])
+    assert isinstance(alpha(float(times[-1])), float)
 
 
 @settings(max_examples=40, deadline=None)
