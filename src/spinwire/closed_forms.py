@@ -15,10 +15,14 @@ both branches meet the contract at the switch point.
 
 The Bessel functions and :func:`alpha_closed` take a float or an array:
 a float in gives a float, an array in gives an array of the same shape.
-Arrays are evaluated in blocks of ``numerics.CHUNK`` samples with the
-same IEEE operations, in the same order, as a lone float, and cos and
-sin come from libm (``math``) rather than numpy, so every sample is
-bit-identical to its scalar evaluation.
+Arrays are evaluated in blocks of ``numerics.CHUNK`` samples, a row of
+terms at a time.  Every sample gets the bits of a lone scalar evaluation:
+the Hankel sums and every series term come from the same IEEE operations
+in the same order, cos and sin come from libm (``math``) rather than
+numpy, and the series is summed to the correctly rounded value
+``math.fsum`` gives, by a compensated sum that calls fsum only on the
+samples it cannot certify (:func:`fsum_columns`).  An infinite argument
+is a ValueError; a NaN gives NaN.
 
 The long-time envelopes of the two Bessel cases decay as t^(-1/2) and
 t^(-3/2); :func:`envelope_exponent` measures such exponents from
@@ -43,50 +47,84 @@ MIN_PEAKS_FOR_FIT = 4
 # Bessel functions J0, J1
 # ---------------------------------------------------------------------------
 
+def _two_sum(a: np.ndarray, b: np.ndarray):
+    # s = fl(a + b) and the exact error e = a + b - s (Knuth's TwoSum).
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def fsum_columns(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each column of a 2-d float table, bit for bit.
+
+    Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005): TwoSum
+    down each column into a sum s, its errors e_i into c and |e_i| into
+    sum|e_i|, then r + d = s + c exactly.  c misses the exact sum of the
+    e_i by under (rows - 2) u sum|e_i| (u = 2^-53), so r is the correctly
+    rounded column sum, fsum's, wherever |d| + 2 rows u sum|e_i| is
+    strictly below half the gap from |r| down to its neighbour.  Other
+    columns, a zero or NaN r among them, are fsum-ed as they stand.
+    """
+    s, c, spread = terms[0].copy(), np.zeros_like(terms[0]), np.zeros_like(terms[0])
+    for row in terms[1:]:
+        s, e = _two_sum(s, row)
+        c += e
+        spread += np.abs(e)
+    r, d = _two_sum(s, c)
+    size = np.abs(r)
+    bound = np.abs(d) + len(terms) * 2.0**-52 * spread
+    for j in np.flatnonzero(~(bound < 0.5 * (size - np.nextafter(size, 0.0)))):
+        r[j] = math.fsum(terms[:, j].tolist())
+    return r
+
+
 def _ascending_series(nu: int, x: np.ndarray) -> np.ndarray:
-    # For each sample, terms 0 .. SERIES_TERMS-1 of
-    # J_nu(x) = sum_m (-1)^m (x/2)^(2m+nu) / (m! (m+nu)!), by the running
-    # product term_m = term_(m-1) * (-q / (m (m + nu))); a sample keeps
-    # all up to its first below 1e-19 with m >= 4.  Every |term| grows
-    # with x, and even x just below 12 stops by m = 31.  The kept terms
-    # are fsum-ed, one sample at a time, so the only rounding left is in
-    # the terms themselves; zeroing the terms a sample does not keep
-    # leaves its fsum unchanged.
+    # Row m holds term m of J_nu(x) = sum_m (-1)^m (x/2)^(2m+nu) / (m! (m+nu)!)
+    # for every sample, by the running product
+    # term_m = term_(m-1) * (-q / (m (m + nu))); a sample keeps all terms
+    # up to its first below 1e-19 with m >= 4, and zeros after it, which
+    # leave its fsum unchanged.  A term not kept is 0, so from m = 5 on
+    # |term_(m-1)| > 1e-19 alone says whether term m is kept.  Every |term|
+    # grows with x, and even x just below 12 stops by m = 31; the rows end
+    # once no sample keeps one.  fsum_columns then gives each sample the
+    # fsum of its kept terms, so the only rounding left is in the terms
+    # themselves.
     half = 0.5 * x
-    q = half * half
-    m = np.arange(1, SERIES_TERMS)
-    first = (np.ones_like(x) if nu == 0 else half)[:, None]
-    terms = np.multiply.accumulate(np.hstack([first, -q[:, None] / (m * (m + nu))]), axis=1)
-    carry_on = (np.abs(terms[:, :-1]) > 1e-19) | (m < 5)  # column i: term i, m = i + 1
-    keep = np.logical_and.accumulate(np.hstack([np.ones_like(first, bool), carry_on]), axis=1)
-    kept = np.where(keep, terms, 0.0)
-    return np.fromiter(map(math.fsum, map(np.ndarray.tolist, kept)), float, len(kept))
-
-
-def _alternating_sum(terms: np.ndarray) -> np.ndarray:
-    # 0.0 + t0 - t1 + t2 - ... down the rows, each sample stopping before
-    # its first term that is no smaller than the one before (optimal
-    # truncation).  A stopped sample adds zeros, which change no partial
-    # sum but a zero one, and the closing 0.0 + makes any zero sum +0.0.
-    magnitude = np.abs(terms)
-    previous = np.vstack([np.full_like(terms[:1], math.inf), magnitude[:-1]])
-    live = np.logical_and.accumulate(~(magnitude >= previous), axis=0)
-    signed = np.where(live, terms, 0.0)
-    signed[1::2] = -signed[1::2]
-    return 0.0 + np.add.accumulate(signed, axis=0)[-1]
+    minus_q = -(half * half)
+    terms = np.zeros((SERIES_TERMS, x.size))
+    terms[0] = 1.0 if nu == 0 else half
+    for m in range(1, SERIES_TERMS):
+        keep = True if m < 5 else np.abs(terms[m - 1]) > 1e-19
+        if m >= 5 and not keep.any():
+            return fsum_columns(terms[:m])
+        np.multiply(terms[m - 1], minus_q / (m * (m + nu)), out=terms[m], where=keep)
+    return fsum_columns(terms)
 
 
 def _hankel(nu: int, x: np.ndarray) -> np.ndarray:
     # Amplitude/phase form sqrt(2/(pi x)) (P cos w - Q sin w) with
-    # w = x - (2 nu + 1) pi / 4.  P collects the even Poincare terms,
-    # Q the odd ones; each sum stops at its smallest term (optimal
-    # truncation), which is far below 1e-12 for x >= 12.  Row m - 1 of
-    # ratios is a_m = a_(m-1) (mu - (2m - 1)^2) / (8 m x), a_0 = 1.
+    # w = x - (2 nu + 1) pi / 4.  With a_m = a_(m-1) (mu - (2m - 1)^2) / (8 m x),
+    # a_0 = 1, P = a_0 - a_2 + a_4 - ... and Q = a_1 - a_3 + a_5 - ...;
+    # each sum stops before its first term no smaller than the one before
+    # (optimal truncation), which is far below 1e-12 for x >= 12, and the
+    # rows end once both have stopped.  Each sum is sequential, and the
+    # closing 0.0 + makes a zero sum +0.0.  A NaN x stops both sums at
+    # once, and its NaN w makes the value NaN.
     mu = 4 * nu * nu
-    m = np.arange(1, 40)[:, None]
-    ratios = np.multiply.accumulate((mu - (2 * m - 1) ** 2) / (8.0 * m * x), axis=0)
-    p = _alternating_sum(np.vstack([np.ones_like(x)[None], ratios[1::2]]))
-    q = _alternating_sum(ratios[0::2])
+    a = np.ones_like(x)
+    sums = [np.ones_like(x), np.zeros_like(x)]  # P (a_0 added), Q
+    last = [np.ones_like(x), np.full_like(x, math.inf)]  # |previous term|
+    live = [np.ones(x.shape, bool), np.ones(x.shape, bool)]
+    for m in range(1, 40):
+        a = a * ((mu - (2 * m - 1) ** 2) / (8.0 * m * x))
+        i = m % 2  # a_m is a term of P at even m, of Q at odd m
+        magnitude = np.abs(a)
+        live[i] &= magnitude < last[i]
+        last[i] = magnitude
+        (np.subtract if m // 2 % 2 else np.add)(sums[i], a, out=sums[i], where=live[i])
+        if not (live[i].any() or live[1 - i].any()):
+            break
+    p, q = 0.0 + sums[0], 0.0 + sums[1]
     w = x - (2 * nu + 1) * math.pi / 4.0
     return np.sqrt(2.0 / (math.pi * x)) * (p * libm(math.cos, w) - q * libm(math.sin, w))
 
@@ -94,7 +132,7 @@ def _hankel(nu: int, x: np.ndarray) -> np.ndarray:
 def _bessel(nu: int, x) -> np.ndarray:
     # J_nu(|x|), one CHUNK of samples at a time, each sample by the
     # ascending series below the switch and by Hankel at or above it.
-    ax = np.abs(np.asarray(x, dtype=float))
+    ax = _finite(np.abs(np.asarray(x, dtype=float)), f"J{nu} needs a finite x")
     flat = ax.ravel()
     values = np.empty_like(flat)
     for block in chunks(flat.size):
@@ -106,6 +144,13 @@ def _bessel(nu: int, x) -> np.ndarray:
     return values.reshape(ax.shape)
 
 
+def _finite(x: np.ndarray, message: str) -> np.ndarray:
+    # inf has no cos, sin or Bessel value here; a NaN passes through as NaN
+    if np.isinf(x).any():
+        raise ValueError(message)
+    return x
+
+
 def _like_input(x, values):
     return float(values) if np.ndim(x) == 0 else values
 
@@ -114,6 +159,7 @@ def bessel_j0(x):
     """Bessel J0, absolute error below 1e-12 for |x| <= 50.
 
     A float in gives a float; an array in gives an array of its shape.
+    An infinite x is a ValueError.
     """
     return _like_input(x, _bessel(0, x))  # J0 is even
 
@@ -122,6 +168,7 @@ def bessel_j1(x):
     """Bessel J1, absolute error below 1e-12 for |x| <= 50.
 
     A float in gives a float; an array in gives an array of its shape.
+    An infinite x is a ValueError.
     """
     value = _bessel(1, x)
     return _like_input(x, np.where(np.asarray(x) < 0, -value, value))  # J1 is odd
@@ -141,21 +188,24 @@ def alpha_closed(k0: float, k: float, t):
     a float; an array gives an array of its shape.  The equal-couplings
     form has a removable singularity at t = 0, where the value is 1.
     Negative couplings and generic ratios, which have no closed form,
-    raise ValueError; the matrix propagator handles the latter.
+    raise ValueError; the matrix propagator handles the latter.  An
+    argument K0*t or 2*K*t that overflows to inf is a ValueError too; a
+    NaN t gives NaN.
     """
     if k0 < 0 or k < 0:
         raise ValueError("couplings must be non-negative")
     t_arr = np.asarray(t, dtype=float)
     if k == 0:
-        values = libm(math.cos, k0 * t_arr)
+        values = libm(math.cos, _finite(k0 * t_arr, "alpha0 needs a finite K0*t"))
     elif k0 == 0:
         values = np.ones_like(t_arr)
     elif abs(k0 - math.sqrt(2.0) * k) <= RATIO_MATCH_TOL * k0:
-        values = bessel_j0(2.0 * k * t_arr)
+        values = bessel_j0(_finite(2.0 * k * t_arr, "alpha0 needs a finite 2*K*t"))
     elif abs(k0 - k) <= RATIO_MATCH_TOL * k0:
         y = k * t_arr
         at_zero = y == 0.0
-        values = np.where(at_zero, 1.0, bessel_j1(2.0 * y) / np.where(at_zero, 1.0, y))
+        j1 = bessel_j1(_finite(2.0 * y, "alpha0 needs a finite 2*K*t"))
+        values = np.where(at_zero, 1.0, j1 / np.where(at_zero, 1.0, y))
     else:
         raise ValueError(f"no closed form for k0={k0}, k={k}; use the matrix propagator")
     return _like_input(t, values)

@@ -2,7 +2,8 @@
 
 Claims checked here:
     - the reduced channel contracts (ax, ay, a^2 z), stays inside the
-      Bloch ball, and composes as a semigroup in alpha
+      Bloch ball, and composes as a semigroup in alpha, on seeded draws
+      and as a hypothesis property over the ball and alpha in [-1, 1]
     - chi decreases over the first seven scan ratios and warns loudly
       once truncation takes over, also when the last series coefficient
       is past the float range; a chi past the float range raises
@@ -89,6 +90,20 @@ def test_channel_composes_as_semigroup():
         assert twice.vx == pytest.approx(once.vx, abs=1e-15)
         assert twice.vy == pytest.approx(once.vy, abs=1e-15)
         assert twice.vz == pytest.approx(once.vz, abs=1e-15)
+
+
+bloch_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda c: math.fsum(x * x for x in c) <= 1.0
+).map(lambda c: BlochVector(*c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=bloch_vectors, a1=st.floats(-1.0, 1.0), a2=st.floats(-1.0, 1.0))
+def test_channel_semigroup_property(v, a1, a2):
+    twice = apply_channel(apply_channel(v, a1), a2)
+    once = apply_channel(v, a1 * a2)
+    for got, want in ((twice.vx, once.vx), (twice.vy, once.vy), (twice.vz, once.vz)):
+        assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_bloch_vector_rejects_outside_ball():

@@ -300,6 +300,13 @@ def test_computational_errors_exit_1(capsys):
     assert main(["chi-scan", "--ratios", "32", "--order", "60"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("spinwire chi-scan: error: chi at ratio 32.0 overflows")
+    # the closed-form argument overflows to inf, which has no cos or Bessel value
+    for couplings, tmax, name in ((["--k0", "1.4142135623730951", "--k", "1"], "1e308", "2*K*t"),
+                                  (["--k0", "1", "--k", "1"], "1e308", "2*K*t"),
+                                  (["--k0", "1e308", "--k", "0"], "1e10", "K0*t")):
+        argv = ["alpha", "--method", "closed", *couplings, "--tmax", tmax, "--steps", "3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"spinwire alpha: error: alpha0 needs a finite {name}\n"
 
 
 @pytest.mark.parametrize("argv, column", [

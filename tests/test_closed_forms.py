@@ -16,16 +16,25 @@ Claims checked here:
       not strictly increasing and arrays that are not equal-length 1-d
     - on arrays, J0, J1 and the closed forms equal the scalar loop kept
       here as a reference, bit for bit, across chunk edges and the
-      series/Hankel switch
+      series/Hankel switch, and on a seeded sweep of the series range
+      that includes the Bessel zeros, subnormal x and the largest x
+      below the switch
+    - fsum_columns equals math.fsum on every column, near-ties and
+      signed zeros included
+    - an infinite argument is a ValueError naming it; a NaN gives NaN
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinwire import (
     ChainSpec,
@@ -36,7 +45,7 @@ from spinwire import (
     choose_chain_length,
     envelope_exponent,
 )
-from spinwire.closed_forms import SERIES_ASYMPTOTIC_SWITCH, SERIES_TERMS
+from spinwire.closed_forms import SERIES_ASYMPTOTIC_SWITCH, SERIES_TERMS, fsum_columns
 from spinwire.numerics import CHUNK, bisect_root
 
 
@@ -151,6 +160,78 @@ def test_array_alpha_closed_matches_scalar_loop_bitwise(k0, k):
     expected = [alpha_closed_loop_reference(form, k0, k, t) for t in times.tolist()]
     assert same_bits(values, expected)
     assert values[0] == 1.0
+
+
+# Zeros of J0 and J1 below the series/Hankel switch, to double precision.
+J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281)
+J1_ZEROS = (3.8317059702075125, 7.015586669815619, 10.173468135062722)
+
+
+def series_sweep(seed: int) -> np.ndarray:
+    # 2^16 points of [0, 12), sorted so that each block spans a short range
+    # and leaves the row loop early: uniform draws, every zero of J0 and J1
+    # below 12 with 64 ulps on either side, subnormal x, and the 256
+    # floats below 12.
+    rng = np.random.default_rng(seed)
+    near_zeros = [z + np.arange(-64, 65) * np.spacing(z) for z in J0_ZEROS + J1_ZEROS]
+    subnormal = np.ldexp(rng.uniform(0.5, 1.0, 512), rng.integers(-1074, -1021, 512))
+    below_switch = SERIES_ASYMPTOTIC_SWITCH - np.arange(1, 257) * np.spacing(8.0)
+    special = np.concatenate(near_zeros + [subnormal, below_switch, [0.0, 5e-324]])
+    return np.sort(np.concatenate([special, rng.uniform(0.0, SERIES_ASYMPTOTIC_SWITCH, 2**16 - special.size)]))
+
+
+@pytest.mark.parametrize("nu,f", [(0, bessel_j0), (1, bessel_j1)])
+def test_series_sweep_matches_scalar_loop_bitwise(nu, f):
+    xs = series_sweep(20260)
+    assert xs.size == 2**16 and xs.max() < SERIES_ASYMPTOTIC_SWITCH
+    assert same_bits(f(xs), [bessel_loop_reference(nu, x) for x in xs.tolist()])
+
+
+def column_fsums(table: np.ndarray) -> list[float]:
+    return [math.fsum(column) for column in table.T.tolist()]
+
+
+@pytest.mark.parametrize("column", [
+    [1.0, 2.0**-53, 2.0**-106],  # fsum: 1 + 2^-52; the double-double sum alone: 1
+    [-(2.0**-51), -(2.0**16), -(2.0**-104), 2.0**-79, 2.0**16],  # c's own rounding decides
+    [1.0, -1.0, 2.0**-1074],
+    [-0.0],
+    [-0.0, -0.0],
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [5.0, -5.0],
+])
+def test_fsum_columns_near_ties_and_signed_zeros(column):
+    table = np.array(column)[:, None]
+    assert same_bits(fsum_columns(table), column_fsums(table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(
+    np.float64,
+    st.tuples(st.integers(1, SERIES_TERMS), st.integers(1, 6)),
+    elements=st.one_of(
+        st.floats(-1e300, 1e300),
+        st.builds(lambda sign, k: sign * 2.0**k, st.sampled_from([1.0, -1.0]), st.integers(-1074, 40)),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    ),
+))
+def test_fsum_columns_equals_math_fsum(table):
+    assert same_bits(fsum_columns(table), column_fsums(table))
+
+
+def test_infinite_argument_is_a_value_error_and_nan_gives_nan():
+    for f in (bessel_j0, bessel_j1):
+        for x in (math.inf, -math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(ValueError, match="finite x"):
+                f(x)
+        assert math.isnan(f(math.nan))
+    # K0*t or 2*K*t is inf: an inf t, or a finite product that overflows
+    for k0, k, t, name in ((2.0, 0.0, 1e308, "K0*t"), (1.0, 0.0, math.inf, "K0*t"),
+                           (math.sqrt(2.0), 1.0, 1e308, "2*K*t"), (1.0, 1.0, 1e308, "2*K*t")):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(f"alpha0 needs a finite {name}")):
+            alpha_closed(k0, k, np.array([0.0, t]))
+        assert math.isnan(alpha_closed(k0, k, math.nan))
 
 
 def test_values_at_zero():
