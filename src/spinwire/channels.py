@@ -28,7 +28,7 @@ import numpy as np
 
 from .numerics import bisect_root
 from .propagator import ChainSpec, ChebyshevAlpha
-from .series import DEFAULT_ORDER, _as_fraction, build_series, horner
+from .series import DEFAULT_ORDER, _as_fraction, _series_pairs, horner
 
 WITNESS_THRESHOLD = 1.0
 CROSSING_XTOL = 1e-9
@@ -95,18 +95,19 @@ def chi_metric(
     r = _as_fraction(ratio, "ratio")
     if r <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    coeffs = build_series(k0_sq=r * r, k_sq=r**4, order=order)
+    pairs = _series_pairs(k0_sq=r * r, k_sq=r**4, order=order)
     if order < 2:
         raise ValueError(f"series must be built to order >= 2, got {order}")
-    chi = float(_chi_closed_form(coeffs))
+    chi = float(_chi_closed_form(pairs))
     if math.isinf(chi):
         raise OverflowError(f"chi at ratio {ratio} overflows a float (order {order})")
     if chi < 0:
         raise ValueError(f"chi at ratio {ratio} is negative: {chi!r} (order {order})")
 
     # the series error estimate at x = 1, twice the last coefficient
+    numerator, denominator = pairs[-1]
     try:
-        tail = 2.0 * abs(float(coeffs[-1]))
+        tail = 2.0 * abs(numerator / denominator)
     except OverflowError:
         tail = math.inf
     if tail > quad_tol:
@@ -119,8 +120,11 @@ def chi_metric(
     return chi
 
 
-def _chi_closed_form(coeffs) -> Decimal:
-    """Integral over [0, 1] of (P(x) - exp(-x))^2 for P(x) = sum_j coeffs[j] x^(2j).
+def _chi_closed_form(pairs) -> Decimal:
+    """Integral over [0, 1] of (P(x) - exp(-x))^2 for P(x) = sum_j c_j x^(2j).
+
+    c_j = n_j / d_j for the integer pairs (n_j, d_j), d_j > 0, which need
+    not be in lowest terms: only floor divisions of them are taken.
 
     It is sum_n s_n / (2n+1) - 2 sum_j c_j I_2j + (1 - e^-2) / 2, with
     s_n = sum_{i+j=n} c_i c_j and I_n the integral of x^n e^-x over [0, 1].
@@ -136,14 +140,14 @@ def _chi_closed_form(coeffs) -> Decimal:
     before e^-1 is computed.
     """
     # an integer >= 1 + sum |c_j|, without the gcds of a Fraction sum
-    bound = sum(abs(q.numerator) // q.denominator + 1 for q in coeffs)
+    bound = sum(abs(n) // d + 1 for n, d in pairs)
     digits = math.ceil(math.log10(bound))
     places = CHI_GUARD_DIGITS + 2 * digits
-    top = len(coeffs) - 1
+    scale = 10**places
+    top = len(pairs) - 1
     with localcontext() as ctx:
         ctx.prec = places + 2 * digits  # P^2 has at most 2 * digits before the point
-        c = [Decimal(q.numerator * 10**places // q.denominator).scaleb(-places)
-             for q in coeffs]
+        c = [Decimal(n * scale // d).scaleb(-places) for n, d in pairs]
 
         p_squared = Decimal(0)
         for n in range(2 * top + 1):
@@ -200,12 +204,15 @@ def inflection_point(
 
     # Second derivative of the rescaled series: sum over j >= 1 of
     # c_{2j} tau^{2j} (2j)(2j-1) x^{2j-2}, with float coefficients and
-    # Horner in x^2.
-    coeffs = build_series(k0_sq=plug**2, k_sq=wire**2, order=order)
-    second = [
-        float(coeffs[j] * tau_sq**j * (2 * j) * (2 * j - 1))
-        for j in range(1, order + 1)
-    ]
+    # Horner in x^2.  With c_j = n/d and tau^2 = T/U each coefficient is
+    # one int/int division of the exact product, so correctly rounded.
+    pairs = _series_pairs(k0_sq=plug**2, k_sq=wire**2, order=order)
+    t_power, u_power, second = 1, 1, []
+    for j in range(1, order + 1):
+        t_power *= tau_sq.numerator
+        u_power *= tau_sq.denominator
+        n, d = pairs[j]
+        second.append(n * t_power * (2 * j) * (2 * j - 1) / (d * u_power))
 
     def d2(x):
         return horner(second, x * x)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .numerics import chunks
 # truncation_gap is unused here but stays importable: perfbench/tracer.py patches it by name.
 from .propagator import (DEFAULT_TRUNCATION_TOL, ChainSpec, ChebyshevAlpha,
                          choose_chain_length, truncation_bound, truncation_gap)
-from .series import DEFAULT_ORDER, alpha_z, build_series, evaluate_series
+from .series import DEFAULT_ORDER, _series_pairs, alpha_z, evaluate_series
 from .svg_plot import emit_plot
 from .walks import walk_row
 
@@ -228,8 +229,9 @@ def _run_alpha(params):
     comments = []
 
     if method == SERIES:
-        coeffs = build_series(Fraction(k0) ** 2, Fraction(k) ** 2, params["order"])
-        values, errors = evaluate_series(coeffs, times)
+        pairs = _series_pairs(Fraction(k0) ** 2, Fraction(k) ** 2, params["order"])
+        # int / int is correctly rounded: the bits of float(Fraction(n, d))
+        values, errors = evaluate_series([n / d for n, d in pairs], times)
     elif method == MATRIX:
         n_sites = params["n_sites"]
         if n_sites is None:
@@ -343,6 +345,10 @@ COMMANDS: dict[str, tuple[str, object, tuple[Param, ...]]] = {
 
 
 RUNNERS = {command: runner for command, (_, runner, _) in COMMANDS.items()}
+# main's parser, built on first use and reused for the life of the process.
+# build_parser itself stays uncached: perfbench/tracer.py wraps parse_args on
+# the tree it returns, which must not reach other callers.
+_parser = functools.cache(build_parser)
 
 
 def _replacing(path: str, write) -> None:
@@ -380,7 +386,7 @@ def _write_text(path: str, texts) -> None:
 # a NaN they lead to as the error, and an inf is a valid value
 @np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         params = resolve_params(parser, args)

@@ -16,12 +16,16 @@ form, implemented independently as a cross-check.
 Coefficients are exact rationals end to end.  The walk sums are done
 in integers: with p = K0^2 = P/D and q = K^2 = Q/D over the common
 denominator D, the t^(2j) coefficient is (-1)^j N_j / (D^j (2j)!) with
-the integer numerator N_j = sum_k l(2j, k) P^(k+1) Q^(j-k-1), and each
-coefficient is reduced once, by a single Fraction.  Floating point
-enters only when a series is evaluated at a concrete time, so
-cancellation is confined to the final sum and reported through an error
-estimate; the alternating series is trustworthy roughly while the last
-retained term is small.  :func:`evaluate_series` takes a float or an
+the integer numerator N_j = sum_k l(2j, k) P^(k+1) Q^(j-k-1).  Inside
+the package the coefficients stay unreduced (numerator, denominator)
+integer pairs, from :func:`_series_pairs`: every consumer reads only the
+rational value, through n / d (correctly rounded, so the bits of
+float(Fraction(n, d))) or a floor division, and needs no gcd.  The
+public :func:`build_series` reduces each pair once, to a Fraction.
+Floating point enters only when a series is evaluated at a concrete
+time, so cancellation is confined to the final sum and reported through
+an error estimate; the alternating series is trustworthy roughly while
+the last retained term is small.  :func:`evaluate_series` takes a float or an
 array of times; an array gives arrays whose every element has the bits
 of the float call, with the tail power taken from libm, not numpy.
 """
@@ -94,6 +98,16 @@ def build_series(
     k0_sq: RationalLike, k_sq: RationalLike, order: int = DEFAULT_ORDER
 ) -> tuple[Fraction, ...]:
     """Exact coefficients (c_0, .., c_order), c_j multiplying t^(2j)."""
+    return tuple(Fraction(n, d) for n, d in _series_pairs(k0_sq, k_sq, order))
+
+
+def _series_pairs(
+    k0_sq: RationalLike, k_sq: RationalLike, order: int
+) -> list[tuple[int, int]]:
+    """The coefficients of build_series as unreduced (numerator, denominator) pairs.
+
+    c_j = n_j / d_j exactly, with d_j = D^j (2j)! > 0.
+    """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     p = _as_fraction(k0_sq, "k0_sq")
@@ -106,7 +120,7 @@ def build_series(
     q_powers = [1]
     for _ in range(order):
         q_powers.append(q_powers[-1] * big_q)
-    coeffs = [Fraction(1)]
+    pairs = [(1, 1)]
     denominator = 1  # D^j (2j)!
     for j in range(1, order + 1):
         denominator *= d * (2 * j - 1) * (2 * j)
@@ -116,8 +130,8 @@ def build_series(
         for k in range(j - 1, -1, -1):
             numerator = numerator * big_p + row[k] * q_powers[j - 1 - k]
         numerator *= big_p
-        coeffs.append(Fraction(-numerator if j % 2 else numerator, denominator))
-    return tuple(coeffs)
+        pairs.append((-numerator if j % 2 else numerator, denominator))
+    return pairs
 
 
 def horner(coeffs, u):
@@ -128,11 +142,12 @@ def horner(coeffs, u):
     return acc
 
 
-def evaluate_series(coeffs: tuple[Fraction, ...], t):
+def evaluate_series(coeffs, t):
     """Evaluate the series with coefficients c_0 .. c_M at time t, a float or an array.
 
-    The order M is len(coeffs) - 1.  Horner in t^2 on the coefficients,
-    converted to floats once per call.  The error estimate
+    The coefficients are floats or Fractions; the order M is
+    len(coeffs) - 1.  Horner in t^2 on the coefficients, converted to
+    floats once per call.  The error estimate
     is twice the magnitude of the last retained term, a heuristic bound
     for the alternating tail; the caller decides whether that is good
     enough.  Outside the window where the estimate is small the

@@ -11,6 +11,8 @@ Claims checked here:
     - chi equals, to 2 ulp, an exact-Fraction evaluation of its closed
       form written here: the x^n e^-x moments as n! - M_n e^-1 and e^-1
       as a partial sum far past double precision
+    - chi from the unreduced series pairs has the bits of the closed
+      form fed from build_series' reduced Fractions
     - the inflection point depends only on K/K0, agrees with a
       finite-difference root of the closed form at equal couplings, and
       drifts to zero as the wire dominates; its one-call grid search
@@ -195,6 +197,18 @@ def test_chi_matches_exact_fractions(ratio, order):
         warnings.simplefilter("ignore", RuntimeWarning)
         value, want = chi_metric(ratio, order=order), exact_chi(ratio, order)
     assert abs(value - want) <= 2 * math.ulp(want), (value, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratio=st.floats(1.0, 2.8), order=st.integers(20, 40))
+@example(ratio=2.8, order=40)
+def test_chi_from_pairs_equals_chi_from_reduced_fractions(ratio, order):
+    r = Fraction(ratio)
+    reduced = [(c.numerator, c.denominator) for c in build_series(r * r, r**4, order)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        value = chi_metric(ratio, order=order)
+    assert value.hex() == float(channels._chi_closed_form(reduced)).hex()
 
 
 def test_chi_rejects_bad_ratio():

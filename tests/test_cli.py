@@ -7,6 +7,8 @@ Claims checked here:
     - CSV schemas and the pinned single-row alpha output are stable
     - a chain length is echoed only when one was chosen
     - the closed route gives the matrix route's 1 for a decoupled qubit
+    - the series route, which floats unreduced coefficient pairs, prints
+      the bits of evaluate_series on build_series' reduced Fractions
     - identical invocations produce byte-identical files
     - config files merge under flags; --help and --version return 0,
       junk arguments return 2 (no SystemExit escapes main) and
@@ -18,7 +20,11 @@ Claims checked here:
       and leaves no file
     - the witness sidecar and SVG plotting work end to end
     - chi-scan looks chi_metric up on spinwire.channels at each call, so
-      a patch there is seen, and a negative chi exits 1 with no file
+      a patch there is seen, and a negative chi exits 1 with no file;
+      a series whose middle coefficients pass the float range still
+      gives a finite chi, with the truncation warning
+    - main's one parser per process gives every call, in any order, the
+      exit code, output and files of that call in a fresh interpreter
     - CSV rows stream in chunks with the bytes of per-row formatting; a
       failure mid-stream leaves no output and no temporary file, and
       memory stays bounded on a million-row grid
@@ -42,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +58,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinwire
-from spinwire import channels, cli, svg_plot
+from spinwire import build_series, channels, cli, evaluate_series, svg_plot
 from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
                           resolve_params)
 from spinwire.numerics import CHUNK
@@ -157,6 +164,17 @@ def test_alpha_methods_agree(capsys):
     for a, b, c in zip(rows["series"], rows["matrix"], rows["closed"]):
         assert abs(a - b) < 1e-9
         assert abs(a - c) < 1e-9
+
+
+@pytest.mark.parametrize("k0, k, order", [("1.5", "2", 30), ("0.7", "1.3", 60)])
+def test_series_route_has_the_bits_of_build_series(capsys, k0, k, order):
+    out = run_cli(capsys, "alpha", "--method", "series", "--k0", k0, "--k", k,
+                  "--order", str(order), "--tmax", "3", "--steps", "301")
+    coeffs = build_series(Fraction(float(k0)) ** 2, Fraction(float(k)) ** 2, order)
+    values, errors = evaluate_series(coeffs, np.linspace(0.0, 3.0, 301))
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [float(row[1]).hex() for row in rows] == [v.hex() for v in values.tolist()]
+    assert [float(row[3]).hex() for row in rows] == [e.hex() for e in errors.tolist()]
 
 
 def test_closed_decoupled_qubit_equals_matrix(capsys):
@@ -542,6 +560,14 @@ def test_chi_scan_calls_chi_metric_through_channels(monkeypatch, capsys):
     assert out.splitlines()[2:] == ["1.5,0.25,-1.3862943611198906", "2,0.25,-1.3862943611198906"]
 
 
+def test_chi_scan_with_coefficients_past_float_range(capsys):
+    # the order-1079 series at ratio 20 has coefficients near 1e338 in the
+    # middle; its last one, about -1.3e-3, and chi are finite
+    with pytest.warns(RuntimeWarning, match="truncation-dominated"):
+        out = run_cli(capsys, "chi-scan", "--ratios", "20", "--order", "1079")
+    assert out.splitlines()[2] == "20,3.3825139980901043e-07,-14.899476431518236"
+
+
 def test_negative_chi_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: Decimal("-1e-3"))
     target = tmp_path / "chi.csv"
@@ -693,6 +719,54 @@ def test_recurrence_memory_stays_bounded(tmp_path):
     code, growth_mb = result.stdout.split()
     assert code == "0"
     assert float(growth_mb) < 80.0
+
+
+RUN_CALLS = """
+import contextlib, io, json, os, sys
+from spinwire import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    files = {}
+    for name in sorted(os.listdir()):
+        if name.endswith(".csv"):
+            with open(name, encoding="utf-8") as handle:
+                files[name] = handle.read()
+            os.remove(name)
+    results.append([code, out.getvalue(), err.getvalue(), files])
+print(json.dumps(results))
+"""
+
+
+def test_reused_parser_matches_fresh_interpreters(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"tmax": 0.0, "steps": 1}))
+    calls = [
+        ["alpha", "--method", "warp"],
+        ["--version"],
+        ["--help"],
+        ["alpha", "--method", "closed", "--config", str(config), "--out", "alpha.csv"],
+        ["alpha", "--method", "closed", "--out", "alpha.csv"],
+    ]
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(batch):
+        result = subprocess.run(
+            [sys.executable, "-c", RUN_CALLS, json.dumps(batch)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(result.stdout)
+
+    in_one_process = run(calls)
+    assert in_one_process == [run([argv])[0] for argv in calls]
+    assert [code for code, *_ in in_one_process] == [2, 0, 0, 0, 0]
+    # the config's tmax and steps stay with its own call
+    with_config, without = (files["alpha.csv"] for *_, files in in_one_process[3:])
+    assert len(with_config.splitlines()) == 3 and len(without.splitlines()) == 1002
+    assert cli._parser() is cli._parser()
 
 
 def test_module_entry_point_runs():

@@ -7,6 +7,9 @@ Claims checked here:
     - the integer build equals the plain Fraction walk sum coefficient
       by coefficient, for full-mantissa doubles, small-denominator
       rationals and zero couplings
+    - the unreduced (n, d) pairs the package reads are build_series'
+      Fractions, and n / d has the bits of float(Fraction), an
+      OverflowError included, for squared float couplings and orders 2-60
     - the wire-off series is exactly the cosine series
     - numeric evaluation agrees with the in-repo Bessel oracles and the
       matrix propagator inside the convergence window, also for random
@@ -40,7 +43,7 @@ from spinwire import (
     hypergeometric_coefficient,
     walk_count,
 )
-from spinwire.series import horner
+from spinwire.series import _series_pairs, horner
 
 COUPLING_GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (4, 1)]  # (K0^2, K^2)
 
@@ -134,6 +137,33 @@ def test_build_equals_fraction_walk_sum(couplings, order):
     k0_sq, k_sq = couplings
     coeffs = build_series(k0_sq, k_sq, order)
     assert coeffs == tuple(walk_sum_reference(j, k0_sq, k_sq) for j in range(order + 1))
+
+
+# a coupling as a CLI flag gives it: zero, subnormal, or large enough that
+# mid-series coefficients of the order-60 series pass the float range
+float_coupling = st.one_of(st.just(0.0), st.floats(0.0, 1e4), full_mantissa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k0=float_coupling, k=float_coupling, order=st.integers(2, 60))
+@example(k0=0.0, k=0.0, order=2)
+@example(k0=0.0, k=1.3, order=60)
+@example(k0=1e-154, k=1.0, order=60)  # coefficients down in the subnormals
+@example(k0=1e4, k=1e4, order=60)  # coefficients past the float range
+def test_pairs_are_build_series_unreduced(k0, k, order):
+    k0_sq, k_sq = Fraction(k0) ** 2, Fraction(k) ** 2
+    pairs = _series_pairs(k0_sq, k_sq, order)
+    coeffs = build_series(k0_sq, k_sq, order)
+    assert len(pairs) == len(coeffs) == order + 1
+    for (n, d), c in zip(pairs, coeffs):
+        assert d > 0 and Fraction(n, d) == c
+        try:
+            want = float(c)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                n / d
+        else:
+            assert (n / d).hex() == want.hex(), (n, d)
 
 
 def test_order_80_chi_style_build():
