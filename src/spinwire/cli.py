@@ -15,7 +15,8 @@ floatfmt produces those bytes in bulk.  A NaN in any column is a
 computational failure.
 
 Exit codes, which main returns and the spinwire script exits with: 0
-success (--help and --version too), 1 computational failure, 2 argument errors.
+success (--help and --version too), 1 computational failure (a failed
+allocation included), 2 argument errors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .propagator import (DEFAULT_TRUNCATION_TOL, ChainSpec, ChebyshevAlpha,
                          choose_chain_length, truncation_bound, truncation_gap)
 from .series import DEFAULT_ORDER, _series_pairs, alpha_z, evaluate_series
 from .svg_plot import emit_plot
-from .walks import walk_row
+from .walks import walk_rows
 
 GENERATED_BY = f"# generated-by: spinwire {__version__}"
 METHODS = ("series", "matrix", "closed")  # the alpha routes
@@ -211,13 +212,16 @@ def _run_walks(params):
     # every n lists k = 0 .. n_max/2 - 1, zero-padded past its own last walk;
     # one block per n, so only one row of exact counts is alive at a time
     n_max = params["n_max"]
-    half = n_max // 2
+    keys = [f",{k}," for k in range(n_max // 2)]
+    zeros = [key + "0\n" for key in keys]
 
     def blocks():
         yield _header("n,k,count")
-        for n in range(2, n_max + 1, 2):
-            counts = walk_row(n) + [0] * (half - n // 2)
-            yield "".join(f"{n},{k},{count}\n" for k, count in enumerate(counts))
+        for n, row in zip(range(2, n_max + 1, 2), walk_rows(n_max)):
+            # each line is n + ",k,count\n": the ",k,count\n" parts joined by n
+            s = str(n)
+            lines = [key + count + "\n" for key, count in zip(keys, map(str, row))]
+            yield s + s.join(lines + zeros[len(row):])
 
     return blocks(), None, None
 
@@ -412,7 +416,7 @@ def main(argv=None) -> int:
             xs, ys, xlabel, ylabel, title = plot_spec
             _replacing(params["plot"], lambda path: emit_plot(
                 xs, ys, xlabel=xlabel, ylabel=ylabel, title=title, path=path))
-    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"spinwire {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

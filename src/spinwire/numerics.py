@@ -1,6 +1,7 @@
 """Shared numerical utilities: adaptive quadrature, root refinement (one
-bisection for many brackets), and elementwise libm calls on arrays in
-bounded blocks."""
+bisection for many brackets, with the midpoints of several steps in
+each evaluation), and elementwise libm calls on arrays in bounded
+blocks."""
 
 from __future__ import annotations
 
@@ -13,6 +14,13 @@ Scalar = Callable[[float], float]
 # Samples per block for the array routes and the CSV and SVG formatters:
 # their working memory stays bounded whatever the grid size.
 CHUNK = 4096
+
+# Bisection steps whose midpoints one call of f covers: 2^TREE_DEPTH - 1
+# points per bracket.  At 4 the 21 witness edges of the README example
+# take 6 calls instead of 22.  Deeper trees save a call or two but
+# evaluate more points nobody reads: with 500 edges, 5 is no faster than
+# one midpoint per call, 4 still twice as fast.
+TREE_DEPTH = 4
 
 
 def chunks(n: int):
@@ -84,10 +92,15 @@ def bisect_root(
 ):
     """Bisection of a float bracket, or of equal-length arrays of them at once.
 
-    f maps an array of midpoints to their values.  Each bracket stops on
-    its own (at an endpoint or midpoint where f is 0, once hi - lo <= xtol,
-    or after max_iter midpoints) with the bits of a one-bracket call.
-    ValueError when a bracket holds no sign change.
+    f maps an array of points to their values, each with the bits it has
+    alone.  Each bracket stops on its own (at an endpoint or midpoint
+    where f is 0, once hi - lo <= xtol, or after max_iter midpoints) with
+    the bits of a one-bracket call.  One call of f covers the next
+    TREE_DEPTH steps of every bracket still going: it takes the
+    2^TREE_DEPTH - 1 midpoints those steps can reach, each 0.5 * (lo + hi)
+    of the sub-bracket it splits, so the steps then read f at the bits
+    of their own midpoints.  ValueError when a bracket holds no sign
+    change.
     """
     scalar = np.ndim(lo) == 0
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
@@ -99,18 +112,43 @@ def bisect_root(
     if same.any():
         i = todo[np.argmax(same)]
         raise ValueError(f"no sign change on [{lo[i]}, {hi[i]}]: f={f_lo[i]}, {f_hi[i]}")
-    for _ in range(max_iter):
+    # tree[i, j] is f at point j of bracket i's midpoint tree, numbered from 0 at
+    # its lo to 2^depth at its hi when the tree was built; the bracket now runs
+    # from point left[i] to left[i] + span, and at span 1 the tree is used up
+    left, span = np.zeros(lo.size, dtype=np.intp), 1
+    for steps in range(max_iter + 1):
         mid = 0.5 * (lo[todo] + hi[todo])
         roots[todo] = mid
         going = ~(hi[todo] - lo[todo] <= xtol)  # a NaN width does not stop
         todo, mid = todo[going], mid[going]
-        if not todo.size:
+        if not todo.size or steps == max_iter:
             break
-        f_mid = f(mid)
+        if span == 1:
+            depth = min(TREE_DEPTH, max_iter - steps)
+            tree = np.empty((lo.size, 2**depth + 1))
+            tree[todo, 1:-1] = np.reshape(f(_midpoint_tree(lo[todo], hi[todo], depth)),
+                                          (todo.size, -1))
+            left[todo], span = 0, 2**depth
+        span //= 2
+        f_mid = tree[todo, left[todo] + span]
         upper = (f_mid > 0) == (f_hi[todo] > 0)
         hi[todo[upper]], f_hi[todo[upper]] = mid[upper], f_mid[upper]
         lo[todo[~upper]] = mid[~upper]
+        left[todo[~upper]] += span
         todo = todo[f_mid != 0.0]
-    roots[todo] = 0.5 * (lo[todo] + hi[todo])
     return float(roots[0]) if scalar else roots
 
+
+def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """The 2^depth - 1 midpoints of depth bisection steps of each bracket, flat.
+
+    Row by row and left to right: every point is 0.5 * (a + b) of the two
+    points it lies between, as bisection computes it.
+    """
+    points = np.stack([lo, hi], axis=1)
+    for _ in range(depth):
+        finer = np.empty((points.shape[0], 2 * points.shape[1] - 1))
+        finer[:, ::2] = points
+        finer[:, 1::2] = 0.5 * (points[:, :-1] + points[:, 1:])
+        points = finer
+    return points[:, 1:-1].ravel()

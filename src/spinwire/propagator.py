@@ -106,9 +106,10 @@ class ChebyshevAlpha:
     one-element array and gives a float; each time's value has the same
     bits whatever else the call holds, so bisection midpoints see the
     values of the grid.  Time 0 gives exactly 1.
-    Working memory is O(len(t)) plus the kept moments, one Python float
-    (about 32 B) per order, and about 0.7 a max|t| orders: it grows with
-    a t whatever the chain length is.
+    Working memory is O(len(t)) plus the kept moments, about 0.7 a max|t|
+    orders of them: it grows with a t whatever the chain length is.  They
+    sit in a float64 array that grows by doubling, so 8 B per order, and
+    at most 16 B while a doubling leaves room unused.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -124,21 +125,33 @@ class ChebyshevAlpha:
         self._prev = np.zeros(spec.n_sites)
         self._prev[1] = spec.k0 / self.a if self.a > 0 else 0.0
         self._spare = np.zeros(spec.n_sites)
-        self.signed_moments: list[float] = []  # (-1)^m mu_2m, m = 0, 1, ...
+        # (-1)^m mu_2m for m < self._count, in a buffer with spare room
+        self._moments = np.empty(0)
+        self._count = 0
 
-    def _extend(self, order: int) -> list[float]:
+    @property
+    def signed_moments(self) -> np.ndarray:
+        """(-1)^m mu_2m for m = 0, 1, .. up to the highest order computed."""
+        return self._moments[: self._count]
+
+    def _extend(self, order: int) -> np.ndarray:
         """The signed moments up to order, computing the missing ones."""
-        moments = self.signed_moments
+        if order >= self._moments.size:
+            buffer = np.empty(max(2 * self._moments.size, order + 1))
+            buffer[: self._count] = self.signed_moments
+            self._moments = buffer
+        moments = self._moments
         n = self.spec.n_sites
         vec, prev, spare = self._vec, self._prev, self._spare
         try:
-            for m in range(len(moments), order + 1):
+            for m in range(self._count, order + 1):
                 size = min(m + 1, n)  # vec = T_m(h/a) e0 lives on sites 0..m
                 head = vec[:size]
                 mu = 2.0 * float(head @ head) - 1.0
                 if not abs(mu) <= 1.0 + MOMENT_TOL or (m == 0 and mu != 1.0):
                     raise EigensolverError(f"Chebyshev moment mu_{2 * m} = {mu!r} for {self.spec}")
-                moments.append(-mu if m % 2 else mu)
+                moments[m] = -mu if m % 2 else mu
+                self._count = m + 1
                 # T_m+1 e0 = 2 (h/a) T_m e0 - T_m-1 e0 on sites 0..m+1; spare
                 # held T_m-2 e0, so it is zero beyond them
                 grown = min(size + 1, n)
@@ -149,7 +162,7 @@ class ChebyshevAlpha:
                 vec, prev, spare = spare, vec, prev
         finally:  # the vectors stay in step with the moments kept
             self._vec, self._prev, self._spare = vec, prev, spare
-        return moments
+        return moments[: order + 1]
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)

@@ -39,7 +39,7 @@ from numbers import Rational
 import numpy as np
 
 from .numerics import libm
-from .walks import walk_row
+from .walks import walk_rows
 
 DEFAULT_ORDER = 20
 
@@ -122,9 +122,8 @@ def _series_pairs(
         q_powers.append(q_powers[-1] * big_q)
     pairs = [(1, 1)]
     denominator = 1  # D^j (2j)!
-    for j in range(1, order + 1):
+    for j, row in enumerate(walk_rows(2 * order) if order else (), start=1):
         denominator *= d * (2 * j - 1) * (2 * j)
-        row = walk_row(2 * j)
         # N_j = P * sum_k l(2j, k) P^k Q^(j-1-k), by Horner in P.
         numerator = 0
         for k in range(j - 1, -1, -1):

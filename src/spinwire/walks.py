@@ -9,12 +9,16 @@ through the chain contributes one walk, and every interior return to
 the origin swaps a wire coupling for a plug coupling.
 
 The closed-form count and an exhaustive depth-first enumeration are
-kept side by side so that each can vouch for the other.
+kept side by side so that each can vouch for the other.  Whole rows of
+counts, which the CLI table and every series build read, come from
+:func:`walk_rows`: each row from the one before by suffix sums, one
+big-int addition per entry, with neither of the two oracles.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 # 2^20 step sequences enumerate in well under a second; above that the
 # exhaustive oracle stops being useful.
@@ -49,17 +53,33 @@ def walk_count(n: int, k: int) -> int:
     )
 
 
-def walk_row(n: int) -> list[int]:
-    """[walk_count(n, k) for k in range(n // 2)], without a factorial per entry.
+def walk_rows(n_max: int):
+    """The rows [l(n, 0), .., l(n, n/2 - 1)] for n = 2, 4, .., n_max, in turn.
 
-    The row starts at walk_count(n, 0) and steps along k by the exact
-    ratio l(n, k+1) / l(n, k) = (k+2)(n/2-k-1) / ((k+1)(n-k-2)); the
-    product is a multiple of the divisor, so floor division is exact.
+    Row n comes from row n - 2 by its suffix sums S_i = sum_{i' >= i}
+    l(n - 2, i'), as [S_0, S_0, S_1, .., S_(n/2 - 2)]: the ballot-number
+    recurrence D(h, j) = D(h - 1, j - 1) + D(h, j + 1), one big-int
+    addition per entry.  A generator, so only one row is alive at a
+    time; each row is a new list.  n_max is checked on the call.
     """
-    row = [walk_count(n, 0)]
-    half = n // 2
-    for k in range(half - 1):
-        row.append(row[-1] * (k + 2) * (half - k - 1) // ((k + 1) * (n - k - 2)))
+    _check_step_count(n_max)
+
+    def rows():
+        row = [1]
+        yield row
+        for _ in range(4, n_max + 1, 2):
+            row = list(accumulate(reversed(row)))  # S_(n/2-2), .., S_0
+            row.append(row[-1])
+            row.reverse()
+            yield row
+
+    return rows()
+
+
+def walk_row(n: int) -> list[int]:
+    """[walk_count(n, k) for k in range(n // 2)]: the last row of walk_rows(n)."""
+    for row in walk_rows(n):
+        pass
     return row
 
 

@@ -58,7 +58,7 @@ from spinwire import (
     singlet_witness,
 )
 from spinwire.closed_forms import alpha_closed
-from spinwire.numerics import bisect_root
+from spinwire.numerics import TREE_DEPTH, bisect_root
 from spinwire.propagator import ChebyshevAlpha
 from spinwire.series import horner
 
@@ -473,10 +473,11 @@ def test_witness_calls_each_evaluator_once_per_time(monkeypatch, k0b, evaluators
     trace = singlet_witness(ChainSpec(4.0, 1.0, n), ChainSpec(k0b, 1.0, n), times)
     assert trace.death_time is not None
     assert len(trace.rebirth_times) >= 2  # several edges
-    # one grid call, then one per bisection step, however many edges there are
+    # one grid call, then one per TREE_DEPTH bisection steps, however many edges there are
     assert list(calls.values()) == [1 + len(evaluations)] * evaluators
     step = times[1] - times[0]
-    assert 1 + len(evaluations) <= 2 + math.ceil(math.log2(step / channels.CROSSING_XTOL))
+    steps = math.ceil(math.log2(step / channels.CROSSING_XTOL))
+    assert 1 + len(evaluations) <= 2 + math.ceil(steps / TREE_DEPTH)
 
 
 def _witness_edges_one_by_one(spec_a, spec_b, times):

@@ -3,7 +3,8 @@
 Claims checked here:
     - the walks table reproduces the published counts, byte for byte,
       lists every (n, k) up to n_max/2 - 1 with exact counts past int64,
-      and is built one row of counts per block it yields
+      has the bytes of one f-string per entry, and is built one row of
+      counts per block it yields
     - CSV schemas and the pinned single-row alpha output are stable
     - a chain length is echoed only when one was chosen
     - the closed route gives the matrix route's 1 for a decoupled qubit
@@ -12,8 +13,8 @@ Claims checked here:
     - identical invocations produce byte-identical files
     - config files merge under flags; --help and --version return 0,
       junk arguments return 2 (no SystemExit escapes main) and
-      computational dead ends return 1, a NaN in any column included, with
-      nothing on stderr but the error line
+      computational dead ends return 1, a NaN in any column and a failed
+      allocation included, with nothing on stderr but the error line
     - every bound declared in the parameter table is enforced, as a flag
       and as a config key, before any output file is written; any value
       outside a bound, or any token that is no finite number, exits 2
@@ -62,7 +63,7 @@ from spinwire import build_series, channels, cli, evaluate_series, svg_plot
 from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
                           resolve_params)
 from spinwire.numerics import CHUNK
-from spinwire.walks import walk_count, walk_row
+from spinwire.walks import walk_count, walk_rows
 
 TABLE_CSV = """# generated-by: spinwire 0.1.0
 n,k,count
@@ -131,18 +132,31 @@ def test_walks_counts_past_int64_stay_exact(capsys, n_max):
         assert max(count for _, _, count in rows) > 2**63
 
 
+@pytest.mark.parametrize("n_max", [2, 12, 74, 404])
+def test_walks_has_the_bytes_of_one_f_string_per_entry(capsys, n_max):
+    half = n_max // 2
+    expected = f"{GENERATED_BY}\nn,k,count\n" + "".join(
+        f"{n},{k},{count}\n"
+        for n, row in zip(range(2, n_max + 1, 2), walk_rows(n_max))
+        for k, count in enumerate(row + [0] * (half - len(row)))
+    )
+    assert run_cli(capsys, "walks", "--n-max", str(n_max)) == expected
+
+
 def test_walks_streams_one_row_of_counts_at_a_time(monkeypatch):
-    calls = []
+    made = []
 
-    def recording_walk_row(n):
-        calls.append(n)
-        return walk_row(n)
+    def recording_walk_rows(n_max):
+        for row in walk_rows(n_max):
+            made.append(len(row))
+            yield row
 
-    monkeypatch.setattr(cli, "walk_row", recording_walk_row)
+    monkeypatch.setattr(cli, "walk_rows", recording_walk_rows)
     blocks, _, _ = cli._run_walks({"n_max": 12, "out": None})
     assert next(blocks) == f"{GENERATED_BY}\nn,k,count\n"
+    assert made == []
     assert next(blocks) == "2,0,1\n2,1,0\n2,2,0\n2,3,0\n2,4,0\n2,5,0\n"
-    assert calls == [2]
+    assert made == [1]  # the row of n = 2 alone
 
 
 def test_alpha_closed_single_row(capsys):
@@ -325,6 +339,21 @@ def test_computational_errors_exit_1(capsys):
         argv = ["alpha", "--method", "closed", *couplings, "--tmax", tmax, "--steps", "3"]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"spinwire alpha: error: alpha0 needs a finite {name}\n"
+
+
+def test_failed_allocation_exits_1(monkeypatch, capsys, tmp_path):
+    # as numpy's MemoryError for a grid past the memory at hand, raised without allocating it
+    def runner(params):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape (2, 10000000000)")
+
+    monkeypatch.setitem(cli.RUNNERS, "alpha", runner)
+    out = tmp_path / "a.csv"
+    assert main(["alpha", "--method", "matrix", "--tmax", "1e10", "--steps", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "spinwire alpha: error: Unable to allocate 149. GiB for an array with shape "
+        "(2, 10000000000)\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, column", [

@@ -1,4 +1,9 @@
-"""Quadrature and root-refinement unit tests."""
+"""Quadrature and root-refinement unit tests.
+
+bisect_root evaluates the midpoints of TREE_DEPTH steps per call of f;
+_bisect_one_step, one midpoint per bracket per call, is the loop it must
+match bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinwire import numerics
 from spinwire.numerics import adaptive_simpson, bisect_root
 
 
@@ -107,3 +113,69 @@ def test_bisect_array_of_bracket_kinds():
     assert roots.tolist() == [3.0, 3.0, 3.0]
     assert bisect_root(_sawtooth, np.array([]), np.array([])).size == 0
 
+
+
+def _bisect_one_step(f, lo, hi, xtol, max_iter):
+    """One-bracket bisection, one call of f per step: the reference loop."""
+    f_lo, f_hi = f(np.array([lo]))[0], f(np.array([hi]))[0]
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise ValueError("no sign change")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol:
+            return mid
+        f_mid = f(np.array([mid]))[0]
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_hi > 0):
+            hi, f_hi = mid, f_mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _cubic(x):
+    # one simple root at 1/3, which no dyadic midpoint hits
+    return (x - 1.0 / 3.0) * (1.0 + x * x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brackets=st.lists(_brackets, min_size=1, max_size=8),
+       f=st.sampled_from([_sawtooth, _cubic, np.sin]),
+       xtol=st.sampled_from([0.0, 1e-12, 1e-6, 0.01]),
+       max_iter=st.sampled_from([1, 3, 5, 8, 200]))
+def test_bisect_matches_the_one_step_loop(brackets, f, xtol, max_iter):
+    # max_iter values that are not multiples of TREE_DEPTH cut a tree short
+    expected = []
+    for a, b in brackets:
+        try:
+            expected.append(_bisect_one_step(f, float(a), float(b), xtol, max_iter))
+        except ValueError:
+            return  # refusals are the business of the test above
+    lo, hi = (np.array(side, dtype=float) for side in zip(*brackets))
+    roots = bisect_root(f, lo, hi, xtol=xtol, max_iter=max_iter)
+    assert [r.hex() for r in roots.tolist()] == [r.hex() for r in expected]
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 3, 4, 5, 8, 200])
+def test_bisect_calls_f_once_per_tree(max_iter):
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return _cubic(x)
+
+    # 40 one-step calls: the width 1 halves until it is below 1e-12
+    root = bisect_root(f, np.array([0.0, 0.25]), np.array([1.0, 1.25]), xtol=1e-12,
+                       max_iter=max_iter)
+    one_step = [_bisect_one_step(_cubic, a, a + 1.0, 1e-12, max_iter) for a in (0.0, 0.25)]
+    assert root.tolist() == one_step
+    steps = min(max_iter, 40)
+    depth = numerics.TREE_DEPTH
+    assert len(calls) == 2 + math.ceil(steps / depth)  # f(lo) and f(hi), then the trees
+    trees = [depth] * (steps // depth) + ([steps % depth] if steps % depth else [])
+    assert calls[2:] == [2 * (2**d - 1) for d in trees]

@@ -17,12 +17,14 @@ Claims checked here:
     - the Chebyshev evaluator agrees with the spectral one on random
       chains, returns the same bits for a scalar as for the grid it sits
       in, and its Miller Bessel sums match scipy.special.jv; the CLI runs
-      no eigensolve and builds the moments once per chain
+      no eigensolve and builds the moments once per chain, kept at
+      8 B per order in one float64 array
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -279,6 +281,28 @@ def test_chebyshev_moments_are_sane():
     alpha._twice_off = 2.0 * alpha._twice_off  # a below ||h||: T_m(h/a) blows up
     with pytest.raises(propagator.EigensolverError):
         alpha._extend(80)
+
+
+def test_chebyshev_moments_kept_in_a_float64_array():
+    # a 2-site chain needs about 1.4 t orders; a list of Python floats kept 32.9 B per order
+    alpha = ChebyshevAlpha(ChainSpec(1.0, 1.0, 2))
+    alpha(1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        alpha(2e3)
+        first = len(alpha.signed_moments)
+        one_call = tracemalloc.get_traced_memory()[0] - before
+        alpha(3e3)  # the array doubles
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    orders = len(alpha.signed_moments)
+    assert first > 2000 and orders > 1.4 * first
+    assert alpha.signed_moments.dtype == np.float64
+    assert one_call < 10 * first  # 8 B per order, plus the order searches' cache
+    assert grown < 16 * orders  # at most half of a doubled array stands empty
+    assert alpha(3e3) == pytest.approx(math.cos(3e3), abs=1e-12)  # cos(K0 t) on 2 sites
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,8 @@ Claims checked here:
     - row sums and first columns are Catalan numbers
     - the k = 0 and k = 1 columns coincide from n = 4 on
     - out-of-range inputs behave as documented
-    - walk_row's ratio stepping reproduces the closed form
+    - walk_rows' suffix sums reproduce the closed form and the enumeration,
+      and walk_row is its last row
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from spinwire import catalan, enumerate_walks, walk_count, walk_row
+from spinwire.walks import ENUMERATION_CAP, walk_rows
 
 # n -> counts for k = 0..5, including the trailing zeros of the table layout.
 TABLE = {
@@ -104,11 +106,22 @@ def test_catalan_rejects_negative():
 
 
 def test_walk_row_matches_closed_form():
-    for n in range(2, 401, 2):
-        assert walk_row(n) == [walk_count(n, k) for k in range(n // 2)]
+    rows = list(walk_rows(400))
+    assert [len(row) for row in rows] == list(range(1, 201))
+    for n, row in zip(range(2, 401, 2), rows):
+        assert row == [walk_count(n, k) for k in range(n // 2)]
+    for n in (2, 4, 74, 400):
+        assert walk_row(n) == rows[n // 2 - 1]
+
+
+def test_walk_rows_match_enumeration():
+    for n, row in zip(range(2, ENUMERATION_CAP + 1, 2), walk_rows(ENUMERATION_CAP)):
+        assert dict(enumerate(row)) == enumerate_walks(n)
 
 
 @pytest.mark.parametrize("n", [0, -2, 3])
 def test_walk_row_rejects_bad_step_counts(n):
     with pytest.raises(ValueError):
         walk_row(n)
+    with pytest.raises(ValueError):
+        walk_rows(n)  # on the call, before any row is asked for
