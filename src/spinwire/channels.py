@@ -95,9 +95,9 @@ def chi_metric(
     r = _as_fraction(ratio, "ratio")
     if r <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    pairs = _series_pairs(k0_sq=r * r, k_sq=r**4, order=order)
     if order < 2:
         raise ValueError(f"series must be built to order >= 2, got {order}")
+    pairs = _series_pairs(k0_sq=r * r, k_sq=r**4, order=order)
     chi = float(_chi_closed_form(pairs))
     if math.isinf(chi):
         raise OverflowError(f"chi at ratio {ratio} overflows a float (order {order})")
@@ -124,14 +124,20 @@ def _chi_closed_form(pairs) -> Decimal:
     """Integral over [0, 1] of (P(x) - exp(-x))^2 for P(x) = sum_j c_j x^(2j).
 
     c_j = n_j / d_j for the integer pairs (n_j, d_j), d_j > 0, which need
-    not be in lowest terms: only floor divisions of them are taken.
+    not be in lowest terms: only floor divisions of them are taken.  The
+    signs alternate, as in every series of :mod:`spinwire.series`: n_j is
+    0 or has the sign (-1)^j.
 
     It is sum_n s_n / (2n+1) - 2 sum_j c_j I_2j + (1 - e^-2) / 2, with
     s_n = sum_{i+j=n} c_i c_j and I_n the integral of x^n e^-x over [0, 1].
-    Every quantity is a Decimal carried to p = CHI_GUARD_DIGITS +
-    2 log10(1 + sum |c_j|) places; sum |c_j| bounds |P| on [0, 1], so no
-    term exceeds (1 + sum |c_j|)^2 and chi is right to about
-    10^-CHI_GUARD_DIGITS however hard the terms cancel.  I_2M is
+    Each c_j is carried as the integer C_j = floor(n_j 10^p / d_j), with
+    p = CHI_GUARD_DIGITS + 2 log10(1 + sum |c_j|) places; sum |c_j| bounds
+    |P| on [0, 1], so no term exceeds (1 + sum |c_j|)^2 and chi is right to
+    about 10^-CHI_GUARD_DIGITS however hard the terms cancel.  The s_n are
+    exact integers at scale 10^-2p, from one big-integer square of the
+    packed C_j (Kronecker substitution, :func:`_alternating_square`).  Each
+    s_n takes one floor division by 2n+1, and only their sum is rounded to
+    a Decimal, in the context of the O(M) cross term.  I_2M is
     e^-1 sum_{k>2M} (2M)!/k!; the downward recurrence
     I_(n-1) = (I_n + e^-1) / n gives the rest and divides an error by n
     at each step, where n! - M_n e^-1 would cancel by about (2M)!.
@@ -145,16 +151,14 @@ def _chi_closed_form(pairs) -> Decimal:
     places = CHI_GUARD_DIGITS + 2 * digits
     scale = 10**places
     top = len(pairs) - 1
+    scaled = [n * scale // d for n, d in pairs]
+    # the integral of P^2 at scale 10^-2p
+    total = sum(s // (2 * n + 1) for n, s in enumerate(_alternating_square(scaled)))
+
     with localcontext() as ctx:
         ctx.prec = places + 2 * digits  # P^2 has at most 2 * digits before the point
-        c = [Decimal(n * scale // d).scaleb(-places) for n, d in pairs]
-
-        p_squared = Decimal(0)
-        for n in range(2 * top + 1):
-            pairs = sum((c[i] * c[n - i] for i in range(max(0, n - top), (n + 1) // 2)),
-                        Decimal(0))
-            diagonal = c[n // 2] ** 2 if n % 2 == 0 else 0
-            p_squared += (2 * pairs + diagonal) / (2 * n + 1)
+        c = [Decimal(x).scaleb(-places) for x in scaled]
+        p_squared = Decimal(total).scaleb(-2 * places)
         if p_squared > 2**1025:
             return Decimal("Infinity")
 
@@ -173,6 +177,25 @@ def _chi_closed_form(pairs) -> Decimal:
             if n:
                 moment = (moment + e_inv) / n
         return p_squared - 2 * cross + (1 - e_inv * e_inv) / 2
+
+
+def _alternating_square(values: list[int]) -> list[int]:
+    """[s_0, .., s_2M] with s_n = sum_{i+j=n} v_i v_j, for v_j that are 0 or of sign (-1)^j.
+
+    One big-integer square (Kronecker substitution): the |v_j| are packed
+    at a byte stride of at least 2 b + bitlen(M + 1) + 1 bits, b the bit
+    length of the largest, which holds any sum_i |v_i| |v_(n-i)| <
+    (M + 1) 2^(2b); each s_n is read back from the bytes of the square,
+    and its sign is (-1)^n.
+    """
+    magnitudes = [abs(v) for v in values]
+    count = 2 * len(values) - 1
+    stride = (2 * max(magnitudes).bit_length() + len(values).bit_length() + 8) // 8
+    packed = int.from_bytes(b"".join(m.to_bytes(stride, "little") for m in magnitudes), "little")
+    square = (packed * packed).to_bytes(count * stride, "little")
+    sums = [int.from_bytes(square[n * stride:(n + 1) * stride], "little") for n in range(count)]
+    sums[1::2] = [-s for s in sums[1::2]]
+    return sums
 
 
 # ---------------------------------------------------------------------------

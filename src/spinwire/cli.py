@@ -212,16 +212,16 @@ def _run_walks(params):
     # every n lists k = 0 .. n_max/2 - 1, zero-padded past its own last walk;
     # one block per n, so only one row of exact counts is alive at a time
     n_max = params["n_max"]
-    keys = [f",{k}," for k in range(n_max // 2)]
-    zeros = [key + "0\n" for key in keys]
+    fields = [f",{k},%d\n" for k in range(n_max // 2)]
+    zeros = [f",{k},0\n" for k in range(n_max // 2)]
 
     def blocks():
         yield _header("n,k,count")
         for n, row in zip(range(2, n_max + 1, 2), walk_rows(n_max)):
-            # each line is n + ",k,count\n": the ",k,count\n" parts joined by n
+            # each line is n + ",k,count\n": the ",k,count\n" parts joined by n,
+            # with the counts filled in by one % per block
             s = str(n)
-            lines = [key + count + "\n" for key, count in zip(keys, map(str, row))]
-            yield s + s.join(lines + zeros[len(row):])
+            yield (s + s.join(fields[:len(row)] + zeros[len(row):])) % tuple(row)
 
     return blocks(), None, None
 

@@ -13,10 +13,21 @@ for a pair of plug hops, which is where the K0/K bookkeeping comes
 from.  The same coefficient also has a terminating Gauss-hypergeometric
 form, implemented independently as a cross-check.
 
-Coefficients are exact rationals end to end.  The walk sums are done
-in integers: with p = K0^2 = P/D and q = K^2 = Q/D over the common
-denominator D, the t^(2j) coefficient is (-1)^j N_j / (D^j (2j)!) with
-the integer numerator N_j = sum_k l(2j, k) P^(k+1) Q^(j-k-1).  Inside
+Coefficients are exact rationals end to end, summed in integers: with
+p = K0^2 = P/D and q = K^2 = Q/D over the common denominator D, the
+t^(2j) coefficient is (-1)^j N_j / (D^j (2j)!) with the integer
+numerator N_j = sum_k l(2j, k) P^(k+1) Q^(j-k-1).  The walks are never
+summed one count at a time: cutting each walk at its returns to the
+origin (first-return decomposition, Flajolet & Sedgewick, Analytic
+Combinatorics, ch. V) gives N_j = P V_j with V_1 = 1 and
+
+    V_j = C_(j-1) Q^(j-1) + P (C_(j-1) Q^(j-1) - P V_(j-1)) / (Q - P),
+
+C the Catalan numbers, an exact division; for P = Q a row of walk
+counts sums to C_j and N_j = P^j C_j.  That is O(order) big-integer
+operations, where a Horner sum over the rows of
+:func:`spinwire.walks.walk_rows` takes O(order^2); the tests keep that
+sum as the reference the recurrence must equal.  Inside
 the package the coefficients stay unreduced (numerator, denominator)
 integer pairs, from :func:`_series_pairs`: every consumer reads only the
 rational value, through n / d (correctly rounded, so the bits of
@@ -39,7 +50,6 @@ from numbers import Rational
 import numpy as np
 
 from .numerics import libm
-from .walks import walk_rows
 
 DEFAULT_ORDER = 20
 
@@ -106,7 +116,8 @@ def _series_pairs(
 ) -> list[tuple[int, int]]:
     """The coefficients of build_series as unreduced (numerator, denominator) pairs.
 
-    c_j = n_j / d_j exactly, with d_j = D^j (2j)! > 0.
+    c_j = n_j / d_j exactly, with d_j = D^j (2j)! > 0, and n_j = (-1)^j N_j
+    from the first-return recurrence of the module docstring.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -117,19 +128,22 @@ def _series_pairs(
     d = math.lcm(p.denominator, q.denominator)
     big_p = p.numerator * (d // p.denominator)
     big_q = q.numerator * (d // q.denominator)
-    q_powers = [1]
-    for _ in range(order):
-        q_powers.append(q_powers[-1] * big_q)
     pairs = [(1, 1)]
     denominator = 1  # D^j (2j)!
-    for j, row in enumerate(walk_rows(2 * order) if order else (), start=1):
+    catalan, q_power, v = 1, 1, 0  # C_(j-1), Q^(j-1), V_(j-1)
+    for j in range(1, order + 1):
         denominator *= d * (2 * j - 1) * (2 * j)
-        # N_j = P * sum_k l(2j, k) P^k Q^(j-1-k), by Horner in P.
-        numerator = 0
-        for k in range(j - 1, -1, -1):
-            numerator = numerator * big_p + row[k] * q_powers[j - 1 - k]
-        numerator *= big_p
+        w = catalan * q_power
+        if big_p == big_q:
+            v = w * (4 * j - 2) // (j + 1)  # C_j P^(j-1): a row of walk counts sums to C_j
+        elif j == 1:
+            v = 1
+        else:
+            v = w + big_p * (w - big_p * v) // (big_q - big_p)  # an exact division
+        numerator = big_p * v
         pairs.append((-numerator if j % 2 else numerator, denominator))
+        catalan = catalan * (4 * j - 2) // (j + 1)
+        q_power *= big_q
     return pairs
 
 

@@ -13,11 +13,16 @@ Claims checked here:
       as a partial sum far past double precision
     - chi from the unreduced series pairs has the bits of the closed
       form fed from build_series' reduced Fractions
+    - chi has the bits of the O(order^2) Decimal double loop kept here as
+      the reference for its integral of P^2, on the Fig. 4 ratios at
+      orders 20-60 and on drawn ratios up to 12 at orders 2-200; the
+      Kronecker square gives the schoolbook convolution exactly
     - the inflection point depends only on K/K0, agrees with a
       finite-difference root of the closed form at equal couplings, and
       drifts to zero as the wire dominates; its one-call grid search
       gives the bits of the scalar geometric march kept here
-    - a negative chi is a ValueError, and so is a series order below 2
+    - a negative chi is a ValueError, and so is a series order below 2,
+      checked before any series is built
     - the magnetized-chain Bloch length matches a matrix-exponential
       state-vector oracle built here from the dense generator
     - the singlet witness starts at 3, dies at the quartic-root
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -60,7 +65,7 @@ from spinwire import (
 from spinwire.closed_forms import alpha_closed
 from spinwire.numerics import TREE_DEPTH, bisect_root
 from spinwire.propagator import ChebyshevAlpha
-from spinwire.series import horner
+from spinwire.series import _series_pairs, horner
 
 # ----------------------------------------------------------------- channel --
 
@@ -219,10 +224,130 @@ def test_chi_rejects_bad_ratio():
             chi_metric(bad)
 
 
-@pytest.mark.parametrize("order", [0, 1])
-def test_chi_rejects_orders_below_two(order):
-    with pytest.raises(ValueError, match="order >= 2"):
+@pytest.mark.parametrize("order", [-1, 0, 1])
+def test_chi_rejects_orders_below_two(monkeypatch, order):
+    # chi's own rule, before a series is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a series for an order chi rejects")
+
+    monkeypatch.setattr(channels, "_series_pairs", no_build)
+    with pytest.raises(ValueError, match=f"order >= 2, got {order}"):
         chi_metric(1.0, order)
+
+
+def decimal_loop_chi(pairs) -> Decimal:
+    """_chi_closed_form with its integral of P^2 as a double loop of Decimal products.
+
+    The same fixed point, guard digits and cross term; s_n / (2n+1) is
+    summed per n from Decimal products of the scaled coefficients, each
+    rounded to the context, in O(order^2) operations.
+    """
+    bound = sum(abs(n) // d + 1 for n, d in pairs)
+    digits = math.ceil(math.log10(bound))
+    places = channels.CHI_GUARD_DIGITS + 2 * digits
+    scale = 10**places
+    top = len(pairs) - 1
+    with localcontext() as ctx:
+        ctx.prec = places + 2 * digits
+        c = [Decimal(n * scale // d).scaleb(-places) for n, d in pairs]
+        p_squared = Decimal(0)
+        for n in range(2 * top + 1):
+            products = sum((c[i] * c[n - i] for i in range(max(0, n - top), (n + 1) // 2)),
+                           Decimal(0))
+            diagonal = c[n // 2] ** 2 if n % 2 == 0 else 0
+            p_squared += (2 * products + diagonal) / (2 * n + 1)
+        if p_squared > 2**1025:
+            return Decimal("Infinity")
+        e_inv = Decimal(-1).exp()
+        moment, term, k = Decimal(0), Decimal(1), 2 * top
+        while moment + term != moment:
+            k += 1
+            term /= k
+            moment += term
+        moment *= e_inv
+        cross = Decimal(0)
+        for n in range(2 * top, -1, -1):
+            if n % 2 == 0:
+                cross += c[n // 2] * moment
+            if n:
+                moment = (moment + e_inv) / n
+        return p_squared - 2 * cross + (1 - e_inv * e_inv) / 2
+
+
+def assert_chi_equals_decimal_loop(ratio: float, order: int) -> None:
+    r = Fraction(ratio)
+    pairs = _series_pairs(r * r, r**4, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        value = chi_metric(ratio, order=order)
+    assert value.hex() == float(decimal_loop_chi(pairs)).hex(), (ratio, order)
+
+
+FIG4_RATIOS = [
+    math.sqrt(2.0), math.sqrt(3.0), 2.0, math.sqrt(5.0),
+    math.sqrt(6.0), math.sqrt(7.0), 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(3.0),
+]
+
+
+@pytest.mark.parametrize("ratio", FIG4_RATIOS)
+def test_chi_equals_decimal_loop_on_fig4_ratios(ratio):
+    for order in range(20, 61):
+        assert_chi_equals_decimal_loop(ratio, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratio=st.floats(1.0, 2.8), order=st.integers(20, 40))
+@example(ratio=2.8, order=40)
+@example(ratio=1.0, order=20)  # P = Q
+def test_chi_equals_decimal_loop_in_the_benchmark_range(ratio, order):
+    assert_chi_equals_decimal_loop(ratio, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratio=st.floats(1.0, 12.0), order=st.integers(2, 200))
+@example(ratio=12.0, order=200)  # the largest coefficients: chi is truncation-dominated
+@example(ratio=12.0, order=2)
+def test_chi_equals_decimal_loop_past_the_window(ratio, order):
+    assert_chi_equals_decimal_loop(ratio, order)
+
+
+def schoolbook_square(values: list[int]) -> list[int]:
+    top = len(values) - 1
+    return [sum(values[i] * values[n - i] for i in range(max(0, n - top), min(n, top) + 1))
+            for n in range(2 * top + 1)]
+
+
+def chi_scaled_coefficients(ratio: float, order: int) -> list[int]:
+    """The integers floor(n_j 10^p / d_j) that _chi_closed_form squares."""
+    r = Fraction(ratio)
+    pairs = _series_pairs(r * r, r**4, order)
+    digits = math.ceil(math.log10(sum(abs(n) // d + 1 for n, d in pairs)))
+    scale = 10 ** (channels.CHI_GUARD_DIGITS + 2 * digits)
+    return [n * scale // d for n, d in pairs]
+
+
+# ratio 2 at order 1079 converges: most of its C_j are 0 (even j) or -1 (odd j)
+@pytest.mark.parametrize("ratio,order", [(2.8, 20), (10.0, 288), (2.0, 1079)])
+def test_alternating_square_equals_schoolbook_on_chi_coefficients(ratio, order):
+    values = chi_scaled_coefficients(ratio, order)
+    assert channels._alternating_square(values) == schoolbook_square(values)
+
+
+@pytest.mark.parametrize("values", [
+    # every magnitude at the largest: each s_n at the top of its stride
+    pytest.param([(-1) ** j * (2**256 - 1) for j in range(1080)], id="full-1079"),
+    # every seventh magnitude 0
+    pytest.param([(-1) ** j * (j % 7) * 3 ** (j % 97) for j in range(1080)], id="zeros-1079"),
+])
+def test_alternating_square_equals_schoolbook(values):
+    assert channels._alternating_square(values) == schoolbook_square(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(magnitudes=st.lists(st.integers(0, 2**300), min_size=1, max_size=40))
+def test_alternating_square_equals_schoolbook_on_draws(magnitudes):
+    values = [(-1) ** j * m for j, m in enumerate(magnitudes)]
+    assert channels._alternating_square(values) == schoolbook_square(values)
 
 
 # -------------------------------------------------------------- inflection --

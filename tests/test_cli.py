@@ -132,7 +132,7 @@ def test_walks_counts_past_int64_stay_exact(capsys, n_max):
         assert max(count for _, _, count in rows) > 2**63
 
 
-@pytest.mark.parametrize("n_max", [2, 12, 74, 404])
+@pytest.mark.parametrize("n_max", [2, 12, 74, 200, 304, 404])
 def test_walks_has_the_bytes_of_one_f_string_per_entry(capsys, n_max):
     half = n_max // 2
     expected = f"{GENERATED_BY}\nn,k,count\n" + "".join(

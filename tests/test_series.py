@@ -7,6 +7,9 @@ Claims checked here:
     - the integer build equals the plain Fraction walk sum coefficient
       by coefficient, for full-mantissa doubles, small-denominator
       rationals and zero couplings
+    - the first-return recurrence gives the pairs of an integer Horner sum
+      over the walk rows, for float couplings at orders 0-120 and for
+      P = Q, P = 0 and Q = 0; at P = Q the numerators are P^j C_j
     - the unreduced (n, d) pairs the package reads are build_series'
       Fractions, and n / d has the bits of float(Fraction), an
       OverflowError included, for squared float couplings and orders 2-60
@@ -41,9 +44,11 @@ from spinwire import (
     choose_chain_length,
     evaluate_series,
     hypergeometric_coefficient,
+    catalan,
     walk_count,
 )
 from spinwire.series import _series_pairs, horner
+from spinwire.walks import walk_rows
 
 COUPLING_GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (4, 1)]  # (K0^2, K^2)
 
@@ -57,6 +62,29 @@ def walk_sum_reference(j: int, k0_sq, k_sq) -> Fraction:
     for k in range(j):
         total += walk_count(2 * j, k) * p ** (k + 1) * q ** (j - k - 1)
     return Fraction((-1) ** j, math.factorial(2 * j)) * total
+
+
+def walk_row_pairs(k0_sq, k_sq, order: int) -> list[tuple[int, int]]:
+    """_series_pairs by an integer Horner sum over each row of walk counts.
+
+    With p = P/D and q = Q/D, N_j = P sum_k l(2j, k) P^k Q^(j-1-k), by
+    Horner in P over the powers of Q; d_j = D^j (2j)!.  O(order^2)
+    big-integer operations, against the recurrence's O(order).
+    """
+    p, q = Fraction(k0_sq), Fraction(k_sq)
+    d = math.lcm(p.denominator, q.denominator)
+    big_p = p.numerator * (d // p.denominator)
+    big_q = q.numerator * (d // q.denominator)
+    q_powers = [big_q**i for i in range(order)]
+    pairs, denominator = [(1, 1)], 1
+    for j, row in enumerate(walk_rows(2 * order) if order else (), start=1):
+        denominator *= d * (2 * j - 1) * (2 * j)
+        numerator = 0
+        for k in range(j - 1, -1, -1):
+            numerator = numerator * big_p + row[k] * q_powers[j - 1 - k]
+        numerator *= big_p
+        pairs.append((-numerator if j % 2 else numerator, denominator))
+    return pairs
 
 
 # A double with all 52 fraction bits drawn, scaled into [1/16, 32).
@@ -164,6 +192,32 @@ def test_pairs_are_build_series_unreduced(k0, k, order):
                 n / d
         else:
             assert (n / d).hex() == want.hex(), (n, d)
+
+
+squared_float_couplings = st.tuples(float_coupling, float_coupling).map(
+    lambda ks: (Fraction(ks[0]) ** 2, Fraction(ks[1]) ** 2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(couplings=st.one_of(squared_float_couplings, coupling_pairs()), order=st.integers(0, 120))
+@example(couplings=(Fraction(1.7) ** 2,) * 2, order=120)  # P = Q
+@example(couplings=(0, Fraction(1.3) ** 2), order=120)  # P = 0
+@example(couplings=(Fraction(1.3) ** 2, 0), order=120)  # Q = 0
+@example(couplings=(0, 0), order=120)
+@example(couplings=(Fraction(1, 3), Fraction(5, 7)), order=120)
+def test_recurrence_equals_walk_row_horner(couplings, order):
+    assert _series_pairs(*couplings, order) == walk_row_pairs(*couplings, order)
+
+
+@pytest.mark.parametrize("p", [Fraction(3), Fraction(1, 7), Fraction(10**6, 3)])
+def test_equal_couplings_numerators_are_catalan(p):
+    # a row of walk counts sums to C_j, so at P = Q the numerator is P^j C_j
+    pairs = _series_pairs(p, p, 120)
+    assert pairs == walk_row_pairs(p, p, 120)
+    for j, (n, d) in enumerate(pairs):
+        assert n == (-1) ** j * p.numerator**j * catalan(j)
+        assert d == p.denominator**j * math.factorial(2 * j)
 
 
 def test_order_80_chi_style_build():
