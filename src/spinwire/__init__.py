@@ -45,7 +45,7 @@ from .series import (
     evaluate_series,
     hypergeometric_coefficient,
 )
-from .walks import catalan, enumerate_walks, walk_count, walk_row
+from .walks import catalan, enumerate_walks, walk_count
 
 __all__ = [
     "BlochVector",
@@ -75,5 +75,4 @@ __all__ = [
     "truncation_bound",
     "truncation_gap",
     "walk_count",
-    "walk_row",
 ]

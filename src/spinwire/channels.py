@@ -6,7 +6,8 @@ Everything downstream of alpha0 lives here:
   (transverse Bloch components scale by alpha0, the longitudinal one by
   alpha0 squared);
 * an exponentiality metric: integrated squared distance between the
-  rescaled decay and exp(-x) on the unit interval, exact in closed form;
+  rescaled decay and exp(-x) on the unit interval, exact in closed form
+  and computed in integers;
 * the first inflection point of the rescaled decay, numerically and in
   its short-time quadratic approximation;
 * the Bloch-vector length of a qubit evolving against a fully
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def chi_metric(
     curve is the order-`order` truncated series P, and chi is the
     integral of (P(x) - exp(-x))^2 over x in [0, 1], taken exactly: P is
     a polynomial, so chi = A + B e^-1 + C e^-2 with rational A, B and C,
-    evaluated in Decimal (see :func:`_chi_closed_form`) and rounded once
+    evaluated in integers (see :func:`_chi_closed_form`) and rounded once
     to a float.  A chi past the float range raises OverflowError.
 
     For large ratios the truncated series stops converging inside the
@@ -95,10 +95,9 @@ def chi_metric(
     r = _as_fraction(ratio, "ratio")
     if r <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    if order < 2:
-        raise ValueError(f"series must be built to order >= 2, got {order}")
+    _check_order(order)
     pairs = _series_pairs(k0_sq=r * r, k_sq=r**4, order=order)
-    chi = float(_chi_closed_form(pairs))
+    chi = _chi_closed_form(pairs)
     if math.isinf(chi):
         raise OverflowError(f"chi at ratio {ratio} overflows a float (order {order})")
     if chi < 0:
@@ -120,7 +119,12 @@ def chi_metric(
     return chi
 
 
-def _chi_closed_form(pairs) -> Decimal:
+def _check_order(order: int) -> None:
+    if order < 2:
+        raise ValueError(f"series must be built to order >= 2, got {order}")
+
+
+def _chi_closed_form(pairs) -> float:
     """Integral over [0, 1] of (P(x) - exp(-x))^2 for P(x) = sum_j c_j x^(2j).
 
     c_j = n_j / d_j for the integer pairs (n_j, d_j), d_j > 0, which need
@@ -129,54 +133,54 @@ def _chi_closed_form(pairs) -> Decimal:
     0 or has the sign (-1)^j.
 
     It is sum_n s_n / (2n+1) - 2 sum_j c_j I_2j + (1 - e^-2) / 2, with
-    s_n = sum_{i+j=n} c_i c_j and I_n the integral of x^n e^-x over [0, 1].
-    Each c_j is carried as the integer C_j = floor(n_j 10^p / d_j), with
-    p = CHI_GUARD_DIGITS + 2 log10(1 + sum |c_j|) places; sum |c_j| bounds
-    |P| on [0, 1], so no term exceeds (1 + sum |c_j|)^2 and chi is right to
-    about 10^-CHI_GUARD_DIGITS however hard the terms cancel.  The s_n are
-    exact integers at scale 10^-2p, from one big-integer square of the
-    packed C_j (Kronecker substitution, :func:`_alternating_square`).  Each
-    s_n takes one floor division by 2n+1, and only their sum is rounded to
-    a Decimal, in the context of the O(M) cross term.  I_2M is
-    e^-1 sum_{k>2M} (2M)!/k!; the downward recurrence
+    s_n = sum_{i+j=n} c_i c_j and I_n the integral of x^n e^-x over [0, 1],
+    all in integers at scale S = 10^p: each c_j is carried as
+    C_j = floor(n_j S / d_j), with p = CHI_GUARD_DIGITS +
+    2 log10(1 + sum |c_j|); sum |c_j| bounds |P| on [0, 1], so no term
+    exceeds (1 + sum |c_j|)^2 and chi is right to about
+    10^-CHI_GUARD_DIGITS however hard the terms cancel.  The s_n S^2 are
+    exact, from one big-integer square of the packed C_j (Kronecker
+    substitution, :func:`_alternating_square`), and each takes one floor
+    division by 2n+1.  e^-1 S is sum_k (-1)^k floor(S / k!); I_2M is
+    e^-1 sum_{k>2M} (2M)!/k!, and the downward recurrence
     I_(n-1) = (I_n + e^-1) / n gives the rest and divides an error by n
-    at each step, where n! - M_n e^-1 would cancel by about (2M)!.
-    As |e^-x| < 1 on [0, 1], chi >= (||P|| - 1)^2: an integral of P^2
-    above 2^1025 proves chi past the float range, and gives Infinity
-    before e^-1 is computed.
+    at each step, where n! - M_n e^-1 would cancel by about (2M)!.  One
+    int/int division, which Python rounds correctly, gives the float, or
+    inf when it overflows.  As |e^-x| < 1 on [0, 1], chi >= (||P|| - 1)^2:
+    an integral of P^2 above 2^1025 proves chi past the float range, and
+    gives inf before e^-1 is computed.
     """
     # an integer >= 1 + sum |c_j|, without the gcds of a Fraction sum
     bound = sum(abs(n) // d + 1 for n, d in pairs)
-    digits = math.ceil(math.log10(bound))
-    places = CHI_GUARD_DIGITS + 2 * digits
-    scale = 10**places
+    scale = 10 ** (CHI_GUARD_DIGITS + 2 * math.ceil(math.log10(bound)))
     top = len(pairs) - 1
     scaled = [n * scale // d for n, d in pairs]
-    # the integral of P^2 at scale 10^-2p
+    # the integral of P^2, times S^2
     total = sum(s // (2 * n + 1) for n, s in enumerate(_alternating_square(scaled)))
+    if total > 2**1025 * scale * scale:
+        return math.inf
 
-    with localcontext() as ctx:
-        ctx.prec = places + 2 * digits  # P^2 has at most 2 * digits before the point
-        c = [Decimal(x).scaleb(-places) for x in scaled]
-        p_squared = Decimal(total).scaleb(-2 * places)
-        if p_squared > 2**1025:
-            return Decimal("Infinity")
-
-        e_inv = Decimal(-1).exp()
-
-        moment, term, k = Decimal(0), Decimal(1), 2 * top
-        while moment + term != moment:
-            k += 1
-            term /= k
-            moment += term
-        moment *= e_inv  # I_2M
-        cross = Decimal(0)
-        for n in range(2 * top, -1, -1):
-            if n % 2 == 0:
-                cross += c[n // 2] * moment
-            if n:
-                moment = (moment + e_inv) / n
-        return p_squared - 2 * cross + (1 - e_inv * e_inv) / 2
+    e_inv, term, k = 0, scale, 0
+    while term:
+        e_inv += -term if k % 2 else term
+        k += 1
+        term //= k
+    moment, term, k = 0, scale, 2 * top
+    while term:
+        k += 1
+        term //= k
+        moment += term
+    moment = moment * e_inv // scale  # I_2M
+    cross = 0
+    for n in range(2 * top, -1, -1):
+        if n % 2 == 0:
+            cross += scaled[n // 2] * moment
+        if n:
+            moment = (moment + e_inv) // n
+    try:
+        return (total - 2 * cross + (scale * scale - e_inv * e_inv) // 2) / (scale * scale)
+    except OverflowError:
+        return math.inf
 
 
 def _alternating_square(values: list[int]) -> list[int]:
@@ -207,35 +211,33 @@ def inflection_point(
 ) -> tuple[float, float]:
     """First inflection of alpha0((K/K0^2) x): numeric and quadratic-truncation.
 
-    The numeric value is the first root of the exact series' second
-    derivative (term-by-term differentiation), evaluated in one array
-    call on the geometric grid x_0 = INFLECTION_START,
-    x_(i+1) = INFLECTION_GROWTH x_i, closed at INFLECTION_WINDOW.  The
-    first grid edge where it is 0 at the left end or changes sign is
-    refined by bisection; RuntimeError when there is none.  The
-    truncated value keeps only the x^0 and x^2 terms of that derivative,
-    giving the closed form sqrt(2) (K^2/K0^2 + K^4/K0^4)^(-1/2).  Both
-    depend on the couplings only through K/K0.  Returns
+    The rescaled decay is chi's series: the couplings K0 -> K/K0 and
+    K -> K^2/K0 turn t into x, as the coefficient of t^(2j) is
+    homogeneous of degree j in (K0^2, K^2).  The numeric value is the
+    first root of its second derivative (term-by-term differentiation),
+    evaluated in one array call on the geometric grid
+    x_0 = INFLECTION_START, x_(i+1) = INFLECTION_GROWTH x_i, closed at
+    INFLECTION_WINDOW.  The first grid edge where it is 0 at the left end
+    or changes sign is refined by bisection; RuntimeError when there is
+    none.  The truncated value keeps only the x^0 and x^2 terms of that
+    derivative, giving the closed form sqrt(2) (K^2/K0^2 + K^4/K0^4)^(-1/2).
+    Both depend on the couplings only through K/K0.  An order below 2 is
+    a ValueError, as for chi, before any series is built.  Returns
     (numeric_x0, truncated_x0).
     """
     plug = _as_fraction(k0, "k0")
     wire = _as_fraction(k, "k")
     if plug <= 0 or wire <= 0:
         raise ValueError(f"couplings must be positive, got k0={k0}, k={k}")
-    q = (wire / plug) ** 2  # (K/K0)^2
-    tau_sq = wire**2 / plug**4
+    _check_order(order)
+    r = wire / plug
 
     # Second derivative of the rescaled series: sum over j >= 1 of
-    # c_{2j} tau^{2j} (2j)(2j-1) x^{2j-2}, with float coefficients and
-    # Horner in x^2.  With c_j = n/d and tau^2 = T/U each coefficient is
-    # one int/int division of the exact product, so correctly rounded.
-    pairs = _series_pairs(k0_sq=plug**2, k_sq=wire**2, order=order)
-    t_power, u_power, second = 1, 1, []
-    for j in range(1, order + 1):
-        t_power *= tau_sq.numerator
-        u_power *= tau_sq.denominator
-        n, d = pairs[j]
-        second.append(n * t_power * (2 * j) * (2 * j - 1) / (d * u_power))
+    # c_j (2j)(2j-1) x^(2j-2), with float coefficients and Horner in x^2.
+    # With c_j = n/d each coefficient is one int/int division of the exact
+    # product, so correctly rounded.
+    pairs = _series_pairs(k0_sq=r * r, k_sq=r**4, order=order)
+    second = [n * (2 * j) * (2 * j - 1) / d for j, (n, d) in enumerate(pairs[1:], 1)]
 
     def d2(x):
         return horner(second, x * x)
@@ -258,8 +260,8 @@ def inflection_point(
         i = edges[0]  # bisect_root returns grid[i] itself where d2 is 0
         numeric_x0 = bisect_root(d2, grid[i], grid[i + 1], xtol=1e-12)
 
-    q_float = float(q)
-    truncated_x0 = math.sqrt(2.0 / (q_float + q_float * q_float))
+    q = float(r * r)  # (K/K0)^2
+    truncated_x0 = math.sqrt(2.0 / (q + q * q))
     return numeric_x0, truncated_x0
 
 

@@ -76,13 +76,6 @@ def walk_rows(n_max: int):
     return rows()
 
 
-def walk_row(n: int) -> list[int]:
-    """[walk_count(n, k) for k in range(n // 2)]: the last row of walk_rows(n)."""
-    for row in walk_rows(n):
-        pass
-    return row
-
-
 def enumerate_walks(n: int, cap: int = ENUMERATION_CAP) -> dict[int, int]:
     """Count the same walks by brute force, binned by interior origin visits.
 

@@ -7,22 +7,25 @@ Claims checked here:
     - chi decreases over the first seven scan ratios and warns loudly
       once truncation takes over, also when the last series coefficient
       is past the float range; a chi past the float range raises
-      OverflowError without computing e^-1
+      OverflowError without computing e^-1, and also when only the final
+      division overflows
     - chi equals, to 2 ulp, an exact-Fraction evaluation of its closed
       form written here: the x^n e^-x moments as n! - M_n e^-1 and e^-1
       as a partial sum far past double precision
     - chi from the unreduced series pairs has the bits of the closed
       form fed from build_series' reduced Fractions
-    - chi has the bits of the O(order^2) Decimal double loop kept here as
-      the reference for its integral of P^2, on the Fig. 4 ratios at
-      orders 20-60 and on drawn ratios up to 12 at orders 2-200; the
-      Kronecker square gives the schoolbook convolution exactly
+    - chi, in integer fixed point, has the bits of the closed form in
+      Decimal with the O(order^2) double loop for its integral of P^2,
+      kept here as the reference, on the Fig. 4 ratios at orders 20-60
+      and on drawn ratios from 0.05 to 12 at orders 2-200; the Kronecker
+      square gives the schoolbook convolution exactly
     - the inflection point depends only on K/K0, agrees with a
       finite-difference root of the closed form at equal couplings, and
-      drifts to zero as the wire dominates; its one-call grid search
-      gives the bits of the scalar geometric march kept here
+      drifts to zero as the wire dominates; its one-call grid search on
+      chi's rescaled series gives the bits of the scalar geometric march
+      kept here, on the (K0, K) series times tau^(2j)
     - a negative chi is a ValueError, and so is a series order below 2,
-      checked before any series is built
+      for chi and the inflection point, checked before any series is built
     - the magnetized-chain Bloch length matches a matrix-exponential
       state-vector oracle built here from the dense generator
     - the singlet witness starts at 3, dies at the quartic-root
@@ -148,14 +151,14 @@ def test_chi_warns_when_truncation_dominates():
 def test_chi_warns_when_the_last_coefficient_passes_float_range(monkeypatch):
     # at ratio 20 the order-300 series ends in coefficients past 1e308: the
     # warning reads them as an infinite tail instead of failing to convert them
-    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: Decimal("1e-3"))
+    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: 1e-3)
     with pytest.warns(RuntimeWarning, match="truncation error inf"):
         assert chi_metric(20.0, order=300) == 1e-3
 
 
 def test_chi_past_float_range_raises_before_e_inv():
-    # the integral of P^2 already proves the overflow; e^-1 at the digits
-    # this chi would need takes about 27 s
+    # the integral of P^2 already proves the overflow, before e^-1 and the
+    # moments are computed at the digits this chi would need
     start = time.perf_counter()
     with pytest.raises(OverflowError, match="overflows a float"):
         chi_metric(1e100, order=20)
@@ -164,7 +167,7 @@ def test_chi_past_float_range_raises_before_e_inv():
 
 def test_negative_chi_raises(monkeypatch):
     # an integral of a square is never negative: a negative closed form is a fault
-    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: Decimal("-1e-3"))
+    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: -1e-3)
     with pytest.raises(ValueError, match="negative"):
         chi_metric(2.0, order=20)
 
@@ -213,7 +216,7 @@ def test_chi_from_pairs_equals_chi_from_reduced_fractions(ratio, order):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         value = chi_metric(ratio, order=order)
-    assert value.hex() == float(channels._chi_closed_form(reduced)).hex()
+    assert value.hex() == channels._chi_closed_form(reduced).hex()
 
 
 def test_chi_rejects_bad_ratio():
@@ -225,22 +228,27 @@ def test_chi_rejects_bad_ratio():
 
 
 @pytest.mark.parametrize("order", [-1, 0, 1])
-def test_chi_rejects_orders_below_two(monkeypatch, order):
-    # chi's own rule, before a series is built
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda order: chi_metric(1.0, order), id="chi_metric"),
+    pytest.param(lambda order: inflection_point(1.0, 1.0, order), id="inflection_point"),
+])
+def test_chi_rejects_orders_below_two(monkeypatch, call, order):
+    # chi's own rule, before a series is built; the inflection point reads chi's series
     def no_build(*args, **kwargs):
         raise AssertionError("built a series for an order chi rejects")
 
     monkeypatch.setattr(channels, "_series_pairs", no_build)
     with pytest.raises(ValueError, match=f"order >= 2, got {order}"):
-        chi_metric(1.0, order)
+        call(order)
 
 
 def decimal_loop_chi(pairs) -> Decimal:
-    """_chi_closed_form with its integral of P^2 as a double loop of Decimal products.
+    """_chi_closed_form in Decimal, with its integral of P^2 as a double loop of products.
 
-    The same fixed point, guard digits and cross term; s_n / (2n+1) is
-    summed per n from Decimal products of the scaled coefficients, each
-    rounded to the context, in O(order^2) operations.
+    The same scaled coefficients and guard digits; s_n / (2n+1) is
+    summed per n from Decimal products of them, each rounded to the
+    context, in O(order^2) operations, and e^-1, the moments and the
+    cross term are Decimal operations rounded to the same context.
     """
     bound = sum(abs(n) // d + 1 for n, d in pairs)
     digits = math.ceil(math.log10(bound))
@@ -304,11 +312,24 @@ def test_chi_equals_decimal_loop_in_the_benchmark_range(ratio, order):
 
 
 @settings(max_examples=25, deadline=None)
-@given(ratio=st.floats(1.0, 12.0), order=st.integers(2, 200))
+@given(ratio=st.floats(0.05, 12.0), order=st.integers(2, 200))
 @example(ratio=12.0, order=200)  # the largest coefficients: chi is truncation-dominated
 @example(ratio=12.0, order=2)
+@example(ratio=0.05, order=80)  # K < K0: P is nearly 1, far from exp(-x)
 def test_chi_equals_decimal_loop_past_the_window(ratio, order):
     assert_chi_equals_decimal_loop(ratio, order)
+
+
+def test_chi_past_float_range_in_the_final_division(monkeypatch):
+    # P = c_0 with c_0^2 between 2^1024 and 2^1025: the early exit does not
+    # fire, and the correctly rounded division overflows instead
+    pairs = [(math.isqrt(3 << 1023), 1)]
+    assert 2**1024 < pairs[0][0] ** 2 < 2**1025
+    assert channels._chi_closed_form(pairs) == math.inf
+    assert decimal_loop_chi(pairs) > 2**1024
+    monkeypatch.setattr(channels, "_series_pairs", lambda *args, **kwargs: pairs)
+    with pytest.raises(OverflowError, match="overflows a float"):
+        chi_metric(2.0, order=20)
 
 
 def schoolbook_square(values: list[int]) -> list[int]:

@@ -48,7 +48,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -598,7 +597,7 @@ def test_chi_scan_with_coefficients_past_float_range(capsys):
 
 
 def test_negative_chi_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: Decimal("-1e-3"))
+    monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: -1e-3)
     target = tmp_path / "chi.csv"
     assert main(["chi-scan", "--ratios", "2", "--order", "20", "--out", str(target)]) == 1
     assert "negative" in capsys.readouterr().err

@@ -6,15 +6,14 @@ Claims checked here:
     - row sums and first columns are Catalan numbers
     - the k = 0 and k = 1 columns coincide from n = 4 on
     - out-of-range inputs behave as documented
-    - walk_rows' suffix sums reproduce the closed form and the enumeration,
-      and walk_row is its last row
+    - walk_rows' suffix sums reproduce the closed form and the enumeration
 """
 
 from __future__ import annotations
 
 import pytest
 
-from spinwire import catalan, enumerate_walks, walk_count, walk_row
+from spinwire import catalan, enumerate_walks, walk_count
 from spinwire.walks import ENUMERATION_CAP, walk_rows
 
 # n -> counts for k = 0..5, including the trailing zeros of the table layout.
@@ -110,8 +109,6 @@ def test_walk_row_matches_closed_form():
     assert [len(row) for row in rows] == list(range(1, 201))
     for n, row in zip(range(2, 401, 2), rows):
         assert row == [walk_count(n, k) for k in range(n // 2)]
-    for n in (2, 4, 74, 400):
-        assert walk_row(n) == rows[n // 2 - 1]
 
 
 def test_walk_rows_match_enumeration():
@@ -121,7 +118,5 @@ def test_walk_rows_match_enumeration():
 
 @pytest.mark.parametrize("n", [0, -2, 3])
 def test_walk_row_rejects_bad_step_counts(n):
-    with pytest.raises(ValueError):
-        walk_row(n)
     with pytest.raises(ValueError):
         walk_rows(n)  # on the call, before any row is asked for
