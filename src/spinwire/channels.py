@@ -28,7 +28,7 @@ import numpy as np
 
 from .numerics import bisect_root
 from .propagator import ChainSpec, ChebyshevAlpha
-from .series import DEFAULT_ORDER, _as_fraction, _series_pairs, horner
+from .series import DEFAULT_ORDER, _as_fraction, _check_order, _series_pairs, horner
 
 WITNESS_THRESHOLD = 1.0
 CROSSING_XTOL = 1e-9
@@ -119,11 +119,6 @@ def chi_metric(
     return chi
 
 
-def _check_order(order: int) -> None:
-    if order < 2:
-        raise ValueError(f"series must be built to order >= 2, got {order}")
-
-
 def _chi_closed_form(pairs) -> float:
     """Integral over [0, 1] of (P(x) - exp(-x))^2 for P(x) = sum_j c_j x^(2j).
 
@@ -146,19 +141,28 @@ def _chi_closed_form(pairs) -> float:
     I_(n-1) = (I_n + e^-1) / n gives the rest and divides an error by n
     at each step, where n! - M_n e^-1 would cancel by about (2M)!.  One
     int/int division, which Python rounds correctly, gives the float, or
-    inf when it overflows.  As |e^-x| < 1 on [0, 1], chi >= (||P|| - 1)^2:
-    an integral of P^2 above 2^1025 proves chi past the float range, and
-    gives inf before e^-1 is computed.
+    inf when it overflows.
+
+    As |e^-x| < 1 on [0, 1], chi >= (||P|| - 1)^2, so an integral of P^2
+    above 2^1025 proves chi past the float range.  The last coefficient
+    proves it before anything is scaled or squared: the monic shifted
+    Legendre polynomial has the least norm on [0, 1] among monic
+    polynomials of its degree n = 2M, so the integral of P^2 is at least
+    c_M^2 (n!)^4 / ((2n)!^2 (2n+1)) >= c_M^2 / (16^n (2n+1)), and a c_M^2
+    above 2^(1025 + 8M) (4M+1), checked on bit lengths, gives inf at once.
+    A chi the check misses overflows in the final division.
     """
+    top = len(pairs) - 1
+    n_top, d_top = pairs[-1]
+    log2_c_top = abs(n_top).bit_length() - 1 - d_top.bit_length()  # log2 |c_M| >= this
+    if 2 * log2_c_top > 1025 + 8 * top + (4 * top + 1).bit_length():
+        return math.inf
     # an integer >= 1 + sum |c_j|, without the gcds of a Fraction sum
     bound = sum(abs(n) // d + 1 for n, d in pairs)
     scale = 10 ** (CHI_GUARD_DIGITS + 2 * math.ceil(math.log10(bound)))
-    top = len(pairs) - 1
     scaled = [n * scale // d for n, d in pairs]
     # the integral of P^2, times S^2
     total = sum(s // (2 * n + 1) for n, s in enumerate(_alternating_square(scaled)))
-    if total > 2**1025 * scale * scale:
-        return math.inf
 
     e_inv, term, k = 0, scale, 0
     while term:

@@ -91,10 +91,16 @@ def _off_diagonal(spec: ChainSpec) -> np.ndarray:
 class ChebyshevAlpha:
     """alpha0(t) evaluator bound to one chain, without an eigensolve.
 
-    The moments mu_2m are computed once, on demand, and kept: a call
-    extends them only when its largest time needs a higher order.  The
-    vector T_m(h/a) e0 lives on sites 0..m, so the recurrence runs on a
-    support that grows by one site per step until it spans the chain.
+    Its only state besides the chain is ``signed_moments``, the float64
+    array (-1)^m mu_2m for m = 0, 1, .., which starts empty.  A call whose
+    largest time needs an order past it replaces it whole by
+    :func:`_signed_moments` at the larger of that order + 1 and twice its
+    size, and evaluates from the array it built; any other call reads the
+    kept array.  A first call so computes exactly the moments it needs,
+    and callers whose times keep growing repeat at most as much work
+    again.  The moments are a pure function of the chain, so a shared
+    evaluator is safe across threads: a thread that replaces the array
+    can at worst drop moments another thread computed, never change one.
 
     For x = a|t| the series stops at the smallest order M whose dropped
     terms, bounded by |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4), stay below
@@ -107,62 +113,15 @@ class ChebyshevAlpha:
     bits whatever else the call holds, so bisection midpoints see the
     values of the grid.  Time 0 gives exactly 1.
     Working memory is O(len(t)) plus the kept moments, about 0.7 a max|t|
-    orders of them: it grows with a t whatever the chain length is.  They
-    sit in a float64 array that grows by doubling, so 8 B per order, and
-    at most 16 B while a doubling leaves room unused.
+    orders of them at 8 B each, at most twice that after a growth, and
+    O(min(N, M)) while they are computed: it grows with a t whatever the
+    chain length is.
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
         self.a = max(spec.k0 + spec.k, 2.0 * spec.k)
-        off = _off_diagonal(spec)
-        # 2 h / a; an a of 0 leaves every x at 0 and needs no moment
-        self._twice_off = off * (2.0 / self.a) if self.a > 0 else off
-        # T_m(h/a) e0 and its predecessor; seeding the predecessor with
-        # (h/a) e0 makes the general step 2 (h/a) v - prev give T_1 e0.
-        self._vec = np.zeros(spec.n_sites)
-        self._vec[0] = 1.0
-        self._prev = np.zeros(spec.n_sites)
-        self._prev[1] = spec.k0 / self.a if self.a > 0 else 0.0
-        self._spare = np.zeros(spec.n_sites)
-        # (-1)^m mu_2m for m < self._count, in a buffer with spare room
-        self._moments = np.empty(0)
-        self._count = 0
-
-    @property
-    def signed_moments(self) -> np.ndarray:
-        """(-1)^m mu_2m for m = 0, 1, .. up to the highest order computed."""
-        return self._moments[: self._count]
-
-    def _extend(self, order: int) -> np.ndarray:
-        """The signed moments up to order, computing the missing ones."""
-        if order >= self._moments.size:
-            buffer = np.empty(max(2 * self._moments.size, order + 1))
-            buffer[: self._count] = self.signed_moments
-            self._moments = buffer
-        moments = self._moments
-        n = self.spec.n_sites
-        vec, prev, spare = self._vec, self._prev, self._spare
-        try:
-            for m in range(self._count, order + 1):
-                size = min(m + 1, n)  # vec = T_m(h/a) e0 lives on sites 0..m
-                head = vec[:size]
-                mu = 2.0 * float(head @ head) - 1.0
-                if not abs(mu) <= 1.0 + MOMENT_TOL or (m == 0 and mu != 1.0):
-                    raise EigensolverError(f"Chebyshev moment mu_{2 * m} = {mu!r} for {self.spec}")
-                moments[m] = -mu if m % 2 else mu
-                self._count = m + 1
-                # T_m+1 e0 = 2 (h/a) T_m e0 - T_m-1 e0 on sites 0..m+1; spare
-                # held T_m-2 e0, so it is zero beyond them
-                grown = min(size + 1, n)
-                twice = self._twice_off[: grown - 1]
-                np.negative(prev[:grown], out=spare[:grown])
-                spare[1:grown] += twice * vec[: grown - 1]
-                spare[: grown - 1] += twice * vec[1:grown]
-                vec, prev, spare = spare, vec, prev
-        finally:  # the vectors stay in step with the moments kept
-            self._vec, self._prev, self._spare = vec, prev, spare
-        return moments[: order + 1]
+        self.signed_moments = np.empty(0)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -175,9 +134,47 @@ class ChebyshevAlpha:
         orders = _series_orders(x[rows])
         rows, orders = rows[orders > 0], orders[orders > 0]
         if rows.size:
-            moments = self._extend(int(orders[-1]))
+            order = int(orders[-1])
+            moments = self.signed_moments
+            if order >= moments.size:
+                moments = _signed_moments(self.spec, self.a, max(order + 1, 2 * moments.size))
+                self.signed_moments = moments
             values[rows] = _miller_sums(x[rows], orders, moments)
         return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
+
+
+def _signed_moments(spec: ChainSpec, a: float, count: int) -> np.ndarray:
+    """(-1)^m mu_2m = (-1)^m (2 ||T_m(h/a) e0||^2 - 1) for m < count, a > 0.
+
+    T_m(h/a) e0 lives on sites 0..m, so the three-term recurrence runs on
+    a support that grows by one site per step, on the first
+    min(N, count + 1) sites only: memory is O(min(N, count)).  A moment
+    outside [-1, 1] (an a below ||h||) is an EigensolverError.
+    """
+    n = min(spec.n_sites, count + 1)
+    twice_off = _off_diagonal(ChainSpec(spec.k0, spec.k, n)) * (2.0 / a)  # 2 h / a on those sites
+    # T_m(h/a) e0 and its predecessor; seeding the predecessor with
+    # (h/a) e0 makes the general step 2 (h/a) v - prev give T_1 e0.
+    vec, prev, spare = np.zeros(n), np.zeros(n), np.zeros(n)
+    vec[0] = 1.0
+    prev[1] = spec.k0 / a
+    moments = np.empty(count)
+    for m in range(count):
+        size = min(m + 1, n)  # vec = T_m(h/a) e0 lives on sites 0..m
+        head = vec[:size]
+        mu = 2.0 * float(head @ head) - 1.0
+        if not abs(mu) <= 1.0 + MOMENT_TOL or (m == 0 and mu != 1.0):
+            raise EigensolverError(f"Chebyshev moment mu_{2 * m} = {mu!r} for {spec}")
+        moments[m] = -mu if m % 2 else mu
+        # T_m+1 e0 = 2 (h/a) T_m e0 - T_m-1 e0 on sites 0..m+1; spare
+        # held T_m-2 e0, so it is zero beyond them
+        grown = min(size + 1, n)
+        twice = twice_off[: grown - 1]
+        np.negative(prev[:grown], out=spare[:grown])
+        spare[1:grown] += twice * vec[: grown - 1]
+        spare[: grown - 1] += twice * vec[1:grown]
+        vec, prev, spare = spare, vec, prev
+    return moments
 
 
 def _miller_sums(xs: np.ndarray, orders: np.ndarray, coefficients) -> np.ndarray:

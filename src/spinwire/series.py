@@ -19,13 +19,14 @@ t^(2j) coefficient is (-1)^j N_j / (D^j (2j)!) with the integer
 numerator N_j = sum_k l(2j, k) P^(k+1) Q^(j-k-1).  The walks are never
 summed one count at a time: cutting each walk at its returns to the
 origin (first-return decomposition, Flajolet & Sedgewick, Analytic
-Combinatorics, ch. V) gives N_j = P V_j with V_1 = 1 and
+Combinatorics, ch. V) gives, from N_0 = 1 and with
+w_j = P C_(j-1) Q^(j-1),
 
-    V_j = C_(j-1) Q^(j-1) + P (C_(j-1) Q^(j-1) - P V_(j-1)) / (Q - P),
+    N_j = w_j + P (w_j - P N_(j-1)) / (Q - P),
 
 C the Catalan numbers, an exact division; for P = Q a row of walk
-counts sums to C_j and N_j = P^j C_j.  That is O(order) big-integer
-operations, where a Horner sum over the rows of
+counts sums to C_j and N_j = P^j C_j = w_j (4j - 2) / (j + 1).  That
+is O(order) big-integer operations, where a Horner sum over the rows of
 :func:`spinwire.walks.walk_rows` takes O(order^2); the tests keep that
 sum as the reference the recurrence must equal.  Inside
 the package the coefficients stay unreduced (numerator, denominator)
@@ -38,7 +39,9 @@ time, so cancellation is confined to the final sum and reported through
 an error estimate; the alternating series is trustworthy roughly while
 the last retained term is small.  :func:`evaluate_series` takes a float or an
 array of times; an array gives arrays whose every element has the bits
-of the float call, with the tail power taken from libm, not numpy.
+of the float call, with the tail power taken from libm, not numpy.  It,
+chi and the inflection point share one order rule, :func:`_check_order`:
+a series is built to order 2 at least.
 """
 
 from __future__ import annotations
@@ -130,17 +133,14 @@ def _series_pairs(
     big_q = q.numerator * (d // q.denominator)
     pairs = [(1, 1)]
     denominator = 1  # D^j (2j)!
-    catalan, q_power, v = 1, 1, 0  # C_(j-1), Q^(j-1), V_(j-1)
+    catalan, q_power, numerator = 1, 1, 1  # C_(j-1), Q^(j-1), N_(j-1)
     for j in range(1, order + 1):
         denominator *= d * (2 * j - 1) * (2 * j)
-        w = catalan * q_power
+        w = big_p * catalan * q_power
         if big_p == big_q:
-            v = w * (4 * j - 2) // (j + 1)  # C_j P^(j-1): a row of walk counts sums to C_j
-        elif j == 1:
-            v = 1
+            numerator = w * (4 * j - 2) // (j + 1)  # P^j C_j: a row of walk counts sums to C_j
         else:
-            v = w + big_p * (w - big_p * v) // (big_q - big_p)  # an exact division
-        numerator = big_p * v
+            numerator = w + big_p * (w - big_p * numerator) // (big_q - big_p)  # an exact division
         pairs.append((-numerator if j % 2 else numerator, denominator))
         catalan = catalan * (4 * j - 2) // (j + 1)
         q_power *= big_q
@@ -153,6 +153,12 @@ def horner(coeffs, u):
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
+
+
+def _check_order(order: int) -> None:
+    """The one order rule of every series evaluation, chi and the inflection point."""
+    if order < 2:
+        raise ValueError(f"series must be built to order >= 2, got {order}")
 
 
 def evaluate_series(coeffs, t):
@@ -176,8 +182,7 @@ def evaluate_series(coeffs, t):
     either way.
     """
     order = len(coeffs) - 1
-    if order < 2:
-        raise ValueError(f"series must be built to order >= 2, got {order}")
+    _check_order(order)
     floats = [float(c) for c in coeffs]
     u = t * t
     try:

@@ -7,8 +7,8 @@ Claims checked here:
     - chi decreases over the first seven scan ratios and warns loudly
       once truncation takes over, also when the last series coefficient
       is past the float range; a chi past the float range raises
-      OverflowError without computing e^-1, and also when only the final
-      division overflows
+      OverflowError without squaring P when its last coefficient proves
+      the overflow, and also when only the final division overflows
     - chi equals, to 2 ulp, an exact-Fraction evaluation of its closed
       form written here: the x^n e^-x moments as n! - M_n e^-1 and e^-1
       as a partial sum far past double precision
@@ -156,12 +156,17 @@ def test_chi_warns_when_the_last_coefficient_passes_float_range(monkeypatch):
         assert chi_metric(20.0, order=300) == 1e-3
 
 
-def test_chi_past_float_range_raises_before_e_inv():
-    # the integral of P^2 already proves the overflow, before e^-1 and the
-    # moments are computed at the digits this chi would need
+@pytest.mark.parametrize("ratio, order", [(1e100, 20), (1e300, 40)])
+def test_chi_past_float_range_raises_before_e_inv(monkeypatch, ratio, order):
+    # the last coefficient already proves the overflow, before P is scaled
+    # and squared at the digits this chi would need, and before e^-1
+    def no_square(values):
+        raise AssertionError("squared P for a chi its last coefficient proves past float range")
+
+    monkeypatch.setattr(channels, "_alternating_square", no_square)
     start = time.perf_counter()
     with pytest.raises(OverflowError, match="overflows a float"):
-        chi_metric(1e100, order=20)
+        chi_metric(ratio, order=order)
     assert time.perf_counter() - start < 10.0
 
 

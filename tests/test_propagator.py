@@ -19,12 +19,18 @@ Claims checked here:
       in, and its Miller Bessel sums match scipy.special.jv; the CLI runs
       no eigensolve and builds the moments once per chain, kept at
       8 B per order in one float64 array
+    - the moments come from one pure function on the sites they reach
+      (a 1e8-site chain costs no more than a 51-site one); an evaluator
+      replaces its array whole, at least doubled, with the bits of a
+      fresh one, and one evaluator shared by threads gives serial bits
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -271,16 +277,71 @@ def test_chebyshev_edges():
 
 
 def test_chebyshev_moments_are_sane():
-    alpha = ChebyshevAlpha(ChainSpec(1.0, 1.0, 50))
-    moments = alpha._extend(40)
+    spec = ChainSpec(1.0, 1.0, 50)
+    a = ChebyshevAlpha(spec).a
+    moments = propagator._signed_moments(spec, a, 41)
     assert moments[0] == 1.0
     assert max(map(abs, moments)) <= 1.0 + propagator.MOMENT_TOL
     # uniform chain: semicircle moments mu_2 = -1/2, then zero until the end is felt
     assert moments[1] == pytest.approx(0.5, abs=1e-15)  # (-1)^1 mu_2
     assert max(map(abs, moments[2:25])) < 1e-14
-    alpha._twice_off = 2.0 * alpha._twice_off  # a below ||h||: T_m(h/a) blows up
-    with pytest.raises(propagator.EigensolverError):
-        alpha._extend(80)
+    with pytest.raises(propagator.EigensolverError, match="n_sites=50"):
+        propagator._signed_moments(spec, a / 2, 81)  # a below ||h||: T_m(h/a) blows up
+
+
+def test_chebyshev_grows_its_moments_whole():
+    spec = ChainSpec(1.3, 0.7, 60)
+    times = np.linspace(0.0, 40.0, 201)
+    alpha = ChebyshevAlpha(spec)
+    assert alpha.signed_moments.size == 0
+    alpha(times[:10])
+    small = alpha.signed_moments.size
+    values = alpha(times)
+    size = alpha.signed_moments.size
+    assert small > 0 and size >= 2 * small
+    kept = alpha.signed_moments
+    alpha(times[100:])  # within reach: the kept array serves
+    assert alpha.signed_moments is kept
+    fresh = ChebyshevAlpha(spec)
+    assert np.array_equal(values, fresh(times))
+    # a first call computes exactly the orders it needs
+    assert fresh.signed_moments.size == propagator._series_orders(np.array([alpha.a * 40.0]))[0] + 1
+    assert np.array_equal(alpha.signed_moments, propagator._signed_moments(spec, alpha.a, size))
+
+
+def test_chebyshev_moments_run_on_the_sites_they_reach():
+    # 50 moments need T_m(h/a) e0 for m <= 50, which lives on 51 sites
+    spec, short = ChainSpec(0.8, 1.1, 10**8), ChainSpec(0.8, 1.1, 51)
+    a = max(spec.k0 + spec.k, 2.0 * spec.k)
+    tracemalloc.start()
+    try:
+        ChebyshevAlpha(spec)
+        moments = propagator._signed_moments(spec, a, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert np.array_equal(moments, propagator._signed_moments(short, a, 50))
+
+
+def test_chebyshev_shared_across_threads():
+    # more threads than cores and a short switch interval, so that calls
+    # replace the moment array while others read it; an evaluator that
+    # extends shared vectors in place fails some of these rounds
+    spec = ChainSpec(1.0, 0.6, 300)
+    grids = [np.linspace(0.0, reach, 301) for reach in (5.0, 400.0, 0.5, 200.0, 600.0, 50.0) * 4]
+    serial = ChebyshevAlpha(spec)
+    expected = [serial(grid) for grid in grids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            shared = ChebyshevAlpha(spec)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(shared, grids, timeout=60))
+            assert all(np.array_equal(e, t) for e, t in zip(expected, threaded))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_chebyshev_moments_kept_in_a_float64_array():
