@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bisect_root
+from .numerics import bisect_root, chunks
 from .propagator import ChainSpec, ChebyshevAlpha
 from .series import DEFAULT_ORDER, _as_fraction, _check_order, _series_pairs, horner
 
@@ -289,9 +289,12 @@ def magnetized_bloch_trace(spec: ChainSpec, times) -> np.ndarray:
     minimum 3/4 sits at alpha0^2 = 1/2.  Returns v^2 at the given times,
     in their shape; the caller keeps the times.
     """
-    alpha = ChebyshevAlpha(spec)(times)
-    a_sq = alpha * alpha
-    return a_sq + (1.0 - a_sq) ** 2
+    v_sq = np.asarray(ChebyshevAlpha(spec)(times))
+    flat = v_sq.reshape(-1)  # a view: alpha0 turns into v^2 in place, a block at a time
+    for block in chunks(flat.size):
+        a_sq = flat[block] * flat[block]
+        flat[block] = a_sq + (1.0 - a_sq) ** 2
+    return v_sq
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +393,14 @@ def recurrence_demo(
         raise ValueError(f"need between 2 and 8 frequencies, got {freqs.size}")
     times = np.asarray(times, dtype=float)
     m = freqs.size
-    p = (m + np.cos(2.0 * np.outer(times, freqs)).sum(axis=1)) / (2.0 * m)
-
-    below = p <= threshold
-    crossings = np.flatnonzero(below[:-1] & ~below[1:])
-    first_exceedance = float(times[crossings[0] + 1]) if crossings.size else None
+    p = np.empty(times.size)
+    first_exceedance = None
+    for block in chunks(times.size):
+        p[block] = (m + np.cos(2.0 * np.outer(times[block], freqs)).sum(axis=1)) / (2.0 * m)
+        if first_exceedance is None:
+            lo = max(block.start - 1, 0)  # one sample back, for a crossing at the join
+            below = p[lo:block.stop] <= threshold
+            crossings = np.flatnonzero(below[:-1] & ~below[1:])
+            if crossings.size:
+                first_exceedance = float(times[lo + crossings[0] + 1])
     return p, first_exceedance

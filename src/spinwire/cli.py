@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Every subcommand validates its full parameter set before computing,
-then formats its CSV in chunks of rows.  With --out the chunks stream
-to a temporary file beside the output, which is renamed over it only
-once complete (the --plot SVG likewise): memory stays bounded on large
-grids, and a failed or interrupted invocation never leaves a partial
-output file.  A target that exists and is not a regular file (a
-symlink, a device such as /dev/null, a FIFO) is written through
-instead.  On stdout the chunks follow one another once computing is
+then formats its CSV in chunks of rows.  The matrix route, bloch,
+recurrence, the SVG points and the formatters work one
+``numerics.CHUNK`` of samples at a time, and a constant column is a
+broadcast view, so their working memory is the output columns plus
+O(CHUNK) however large the grid; the series and closed routes add a
+few grid-sized temporaries.  With --out the chunks stream to a
+temporary file beside the output, which is renamed over it only once
+complete (the --plot SVG likewise): a failed or interrupted invocation
+never leaves a partial output file.  A target that exists and is not a
+regular file (a symlink, a device such as /dev/null, a FIFO) is written
+through instead.  On stdout the chunks follow one another once computing is
 done.  Output is deterministic for identical argv; data files carry no
 timestamps, only a generated-by comment naming the tool and version.
 Floats are printed as %.17g, so files round-trip to the exact doubles;
@@ -243,10 +247,10 @@ def _run_alpha(params):
             comments = _chain_comment(n_sites, tmax)
         values = ChebyshevAlpha(ChainSpec(k0, k, n_sites))(times)
         # |alpha| <= 1 on any chain, so 2 is the trivial bound
-        errors = np.full(steps, min(truncation_bound(k0, k, n_sites, tmax), 2.0))
+        errors = np.broadcast_to(min(truncation_bound(k0, k, n_sites, tmax), 2.0), steps)
     else:
         values = alpha_closed(k0, k, times)
-        errors = np.zeros(steps)
+        errors = np.broadcast_to(0.0, steps)
 
     columns = [times, values, alpha_z(values), errors]
     plot = (times, values, "t", "alpha0", f"alpha0, method={method}")

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import chunks
+
 WEIGHT_SUM_TOL = 1e-12
 MOMENT_TOL = 1e-12
 BESSEL_TAIL_TOL = 2.0**-54  # half an ulp of 1: the dropped Bessel terms sit below rounding
@@ -112,10 +114,12 @@ class ChebyshevAlpha:
     one-element array and gives a float; each time's value has the same
     bits whatever else the call holds, so bisection midpoints see the
     values of the grid.  Time 0 gives exactly 1.
-    Working memory is O(len(t)) plus the kept moments, about 0.7 a max|t|
-    orders of them at 8 B each, at most twice that after a growth, and
-    O(min(N, M)) while they are computed: it grows with a t whatever the
-    chain length is.
+    The times run one ``numerics.CHUNK`` at a time, each block sorted and
+    summed on its own, so working memory is the returned array plus
+    O(CHUNK), plus the kept moments: about 0.7 a max|t| orders of them at
+    8 B each, at most twice that after a growth, and O(min(N, M)) while
+    they are computed.  The moments grow with a t whatever the chain
+    length is.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -125,21 +129,25 @@ class ChebyshevAlpha:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        x = self.a * np.abs(t_arr.ravel())
-        if not np.all(np.isfinite(x)):
+        flat = t_arr.ravel()
+        values = np.ones(flat.size)
+        # a * |t| rounds monotonically, so the largest time needs the top order
+        x_max = self.a * max(abs(flat.max()), abs(flat.min())) if flat.size else 0.0
+        if not math.isfinite(x_max):
             raise ValueError("alpha0 needs a finite a*t")
-        values = np.ones_like(x)
-        rows = np.flatnonzero(x > 0)
-        rows = rows[np.argsort(x[rows], kind="stable")]
-        orders = _series_orders(x[rows])
-        rows, orders = rows[orders > 0], orders[orders > 0]
-        if rows.size:
-            order = int(orders[-1])
-            moments = self.signed_moments
-            if order >= moments.size:
-                moments = _signed_moments(self.spec, self.a, max(order + 1, 2 * moments.size))
-                self.signed_moments = moments
-            values[rows] = _miller_sums(x[rows], orders, moments)
+        order = _series_order(float(_order_bucket(x_max))) if x_max > 0 else 0
+        moments = self.signed_moments
+        if order and order >= moments.size:
+            moments = _signed_moments(self.spec, self.a, max(order + 1, 2 * moments.size))
+            self.signed_moments = moments
+        for block in chunks(flat.size):
+            x = self.a * np.abs(flat[block])
+            rows = np.flatnonzero(x > 0)
+            rows = rows[np.argsort(x[rows], kind="stable")]
+            orders = _series_orders(x[rows])
+            rows, orders = rows[orders > 0], orders[orders > 0]
+            if rows.size:
+                values[block][rows] = _miller_sums(x[rows], orders, moments)
         return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
 
 
@@ -267,7 +275,9 @@ def eigh_tridiagonal(d, e):
 class SpectralAlpha:
     """alpha0(t) evaluator bound to one chain, by one dense eigensolve.
 
-    Does the eigensolve once; calls are then a cosine sum.
+    Does the eigensolve once; calls are then a cosine sum, one
+    ``numerics.CHUNK`` of times at a time, so a call's working memory is
+    O(CHUNK N) besides the returned array.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -288,11 +298,16 @@ class SpectralAlpha:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        # each row summed by numpy's own pairwise sum, so a float t gets the bits it
-        # gets inside a grid; a matrix-vector product sums one row in another order
-        terms = np.cos(np.outer(np.atleast_1d(t_arr), self.eigenvalues))
-        terms *= self.weights
-        values = terms.sum(axis=1)
+        flat = t_arr.ravel()
+        values = np.empty(flat.size)
+        # one CHUNK of times x N sites at a time; each row summed by numpy's own
+        # pairwise sum, so a float t gets the bits it gets inside a grid, in any
+        # block; a matrix-vector product sums one row in another order
+        for block in chunks(flat.size):
+            terms = np.outer(flat[block], self.eigenvalues)
+            np.cos(terms, out=terms)
+            terms *= self.weights
+            values[block] = terms.sum(axis=1)
         return float(values[0]) if t_arr.ndim == 0 else values
 
 

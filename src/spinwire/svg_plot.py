@@ -94,9 +94,9 @@ def _render(xs, ys, xlabel, ylabel, title):
     parts.append('<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="')
     yield "\n".join(parts)
     # px and py run elementwise on arrays with the same float64 operations.
-    xy = np.column_stack([px(xs), py(ys)])
-    for block in chunks(len(xy)):
-        yield (" " if block.start else "") + format_points(xy[block])
+    for block in chunks(len(xs)):
+        xy = np.column_stack([px(xs[block]), py(ys[block])])
+        yield (" " if block.start else "") + format_points(xy)
     yield '"/>\n</svg>\n'
 
 

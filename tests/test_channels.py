@@ -27,13 +27,17 @@ Claims checked here:
     - a negative chi is a ValueError, and so is a series order below 2,
       for chi and the inflection point, checked before any series is built
     - the magnetized-chain Bloch length matches a matrix-exponential
-      state-vector oracle built here from the dense generator
+      state-vector oracle built here from the dense generator, has the
+      bits of the whole-array formula and holds no more than its trace
+      plus one block
     - the singlet witness starts at 3, dies at the quartic-root
       crossing, and is reborn in the oscillatory regime; equal chains
       share one evaluator, called once per time; all edges are bisected
       together, with the bits of one bisection per edge
     - the recurrence demo never returns to 1 and re-crosses thresholds
-      sooner with fewer frequencies
+      sooner with fewer frequencies; run in CHUNK blocks it has the bits
+      of the whole-array formula, sees a crossing on a block join, and
+      holds no more than its trace plus one block
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from spinwire import (
     singlet_witness,
 )
 from spinwire.closed_forms import alpha_closed
-from spinwire.numerics import TREE_DEPTH, bisect_root
+from spinwire.numerics import CHUNK, TREE_DEPTH, bisect_root
 from spinwire.propagator import ChebyshevAlpha
 from spinwire.series import _series_pairs, horner
 
@@ -556,6 +560,16 @@ def test_magnetized_minimum_is_three_quarters():
     assert a_sq + (1 - a_sq) ** 2 == 0.75
 
 
+def test_magnetized_memory_is_its_trace_plus_a_block(traced_peak):
+    spec = ChainSpec(math.sqrt(2.0), 1.0, 60)
+    times = np.linspace(0.0, 20.0, 100001)
+    alpha = ChebyshevAlpha(spec)(times)  # warms the order searches' cache too
+    v_sq, peak = traced_peak(lambda: magnetized_bloch_trace(spec, times))
+    assert peak < v_sq.nbytes + 600_000
+    a_sq = alpha * alpha
+    assert np.array_equal(v_sq, a_sq + (1.0 - a_sq) ** 2)
+
+
 # ----------------------------------------------------------------- witness --
 
 def test_witness_starts_at_three():
@@ -723,6 +737,27 @@ def test_recurrence_first_exceedance_equals_the_sample_loop():
         below = p <= threshold
         crossings = (times[i] for i in range(1, len(times)) if below[i - 1] and not below[i])
         assert first == next(crossings, None)
+
+
+def test_recurrence_blocks_keep_the_whole_array_bits():
+    times = np.linspace(0.0, 2.0 * math.pi, 3 * CHUNK + 1)
+    freqs = np.array([1.0, math.pi, math.e])
+    p, _ = recurrence_demo(freqs, times)
+    whole = (freqs.size + np.cos(2.0 * np.outer(times, freqs)).sum(axis=1)) / (2.0 * freqs.size)
+    assert np.array_equal(p, whole)
+    # P = cos(t)^2 falls until t = pi/2 and climbs after: the first join, at
+    # t = 2 pi / 3, is the first crossing of a level between its two samples
+    p, _ = recurrence_demo([1.0, 1.0], times)
+    assert p[CHUNK - 1] < p[CHUNK]
+    threshold = 0.5 * (p[CHUNK - 1] + p[CHUNK])
+    assert recurrence_demo([1.0, 1.0], times, threshold)[1] == times[CHUNK]
+
+
+def test_recurrence_memory_is_its_trace_plus_a_block(traced_peak):
+    times = np.linspace(0.0, 500.0, 500001)
+    (p, first), peak = traced_peak(lambda: recurrence_demo([1.0, math.pi], times))
+    assert first is not None
+    assert peak < p.nbytes + 400_000
 
 
 def test_recurrence_frequency_count_bounds():

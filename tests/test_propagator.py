@@ -7,7 +7,7 @@ Claims checked here:
     - the spectrum is chiral and the sine part of the propagator entry
       cancels, so alpha0 is real, even, and bounded by 1
     - the spectral alpha0 agrees with the Bessel closed forms, and gives
-      a float t the bits it has inside a grid
+      a float t the bits it has inside a grid, across block joins too
     - the a-priori truncation bound holds on the whole time grid for
       random couplings, against a chain four times longer
     - chain-length selection starts at the light cone, grows only while
@@ -16,9 +16,10 @@ Claims checked here:
       ValueError for a nan or infinite coupling or t_max
     - the Chebyshev evaluator agrees with the spectral one on random
       chains, returns the same bits for a scalar as for the grid it sits
-      in, and its Miller Bessel sums match scipy.special.jv; the CLI runs
-      no eigensolve and builds the moments once per chain, kept at
-      8 B per order in one float64 array
+      in, also across the joins of its CHUNK blocks, and holds no more
+      than its values plus one block; its Miller Bessel sums match
+      scipy.special.jv; the CLI runs no eigensolve and builds the
+      moments once per chain, kept at 8 B per order in one float64 array
     - the moments come from one pure function on the sites they reach
       (a 1e8-site chain costs no more than a 51-site one); an evaluator
       replaces its array whole, at least doubled, with the bits of a
@@ -52,6 +53,7 @@ from spinwire import (
     truncation_gap,
 )
 from spinwire.cli import main
+from spinwire.numerics import CHUNK
 
 
 def test_generator_structure():
@@ -223,7 +225,8 @@ def test_chebyshev_matches_spectral(k0, k, n, log_reach):
 
 @pytest.mark.parametrize("k0, k, n", [(1.0, 1.0, 200), (1.3, 0.7, 37), (5.0, 1.0, 2)])
 def test_spectral_scalar_equals_array(k0, k, n):
-    times = np.linspace(0.0, 50.0, 1000)
+    # the cosine sums run a CHUNK of times at a time: the grid crosses a join
+    times = np.linspace(0.0, 50.0, CHUNK + 1000)
     alpha = SpectralAlpha(ChainSpec(k0, k, n))
     grid = alpha(times)
     assert np.array_equal(grid, [alpha(float(t)) for t in times])
@@ -287,6 +290,30 @@ def test_chebyshev_moments_are_sane():
     assert max(map(abs, moments[2:25])) < 1e-14
     with pytest.raises(propagator.EigensolverError, match="n_sites=50"):
         propagator._signed_moments(spec, a / 2, 81)  # a below ||h||: T_m(h/a) blows up
+
+
+def test_chebyshev_blocks_keep_the_bits_of_scalar_calls():
+    # two blocks of ascending times, each with its own top order, then one
+    # block shuffled with negatives and zeros; every block runs on its own
+    rng = np.random.default_rng(5)
+    times = np.r_[np.linspace(0.0, 4.0, 2 * CHUNK),
+                  rng.permutation(np.linspace(-4.0, 4.0, CHUNK + 1))]
+    times[rng.integers(0, times.size, 200)] = 0.0
+    alpha = ChebyshevAlpha(ChainSpec(1.3, 0.7, 60))
+    grid = alpha(times)
+    joins = (CHUNK * np.arange(1, 4)[:, None] + np.arange(-3, 3)).clip(max=times.size - 1)
+    picked = np.r_[joins.ravel(), rng.integers(0, times.size, 300)]
+    assert np.array_equal(grid[picked], [alpha(float(t)) for t in times[picked]])
+
+
+def test_chebyshev_memory_is_its_values_plus_a_block(traced_peak):
+    # 50 blocks of times: the sort, the order search and the Miller sums
+    # each hold one block, whatever the grid
+    alpha = ChebyshevAlpha(ChainSpec(1.3, 0.7, 60))
+    times = np.linspace(0.0, 20.0, 50 * CHUNK)
+    alpha(times)  # the moments and the order searches' cache, outside the trace
+    values, peak = traced_peak(lambda: alpha(times))
+    assert peak < values.nbytes + 600_000
 
 
 def test_chebyshev_grows_its_moments_whole():
