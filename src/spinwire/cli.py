@@ -1,12 +1,11 @@
 """Command-line front end.
 
 Every subcommand validates its full parameter set before computing,
-then formats its CSV in chunks of rows.  The matrix route, bloch,
+then formats its CSV in chunks of rows.  Every alpha route, bloch,
 recurrence, the SVG points and the formatters work one
 ``numerics.CHUNK`` of samples at a time, and a constant column is a
-broadcast view, so their working memory is the output columns plus
-O(CHUNK) however large the grid; the series and closed routes add a
-few grid-sized temporaries.  With --out the chunks stream to a
+broadcast view, so working memory is the output columns plus O(CHUNK)
+however large the grid.  With --out the chunks stream to a
 temporary file beside the output, which is renamed over it only once
 complete (the --plot SVG likewise): a failed or interrupted invocation
 never leaves a partial output file.  A target that exists and is not a

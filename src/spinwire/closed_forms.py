@@ -13,10 +13,9 @@ rather than assumed from an environment.  Ascending power series below
 |x| = 12, Hankel asymptotic amplitude/phase expansion at and above;
 both branches meet the contract at the switch point.
 
-The Bessel functions and :func:`alpha_closed` take a float or an array:
-a float in gives a float, an array in gives an array of the same shape.
-Arrays are evaluated in blocks of ``numerics.CHUNK`` samples, a row of
-terms at a time.  Every sample gets the bits of a lone scalar evaluation:
+The Bessel functions and :func:`alpha_closed` take a float or an array
+and walk it with :func:`spinwire.numerics.blockwise`, a row of terms at a
+time in each block.  Every sample gets the bits of a lone scalar evaluation:
 the Hankel sums and every series term come from the same IEEE operations
 in the same order, cos and sin come from libm (``math``) rather than
 numpy, and the series is summed to the correctly rounded value
@@ -35,7 +34,7 @@ import math
 
 import numpy as np
 
-from .numerics import chunks, libm
+from .numerics import blockwise, libm
 
 SERIES_ASYMPTOTIC_SWITCH = 12.0
 SERIES_TERMS = 32  # terms 0..31: all that any |x| < 12 keeps
@@ -129,19 +128,17 @@ def _hankel(nu: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / (math.pi * x)) * (p * libm(math.cos, w) - q * libm(math.sin, w))
 
 
-def _bessel(nu: int, x) -> np.ndarray:
-    # J_nu(|x|), one CHUNK of samples at a time, each sample by the
-    # ascending series below the switch and by Hankel at or above it.
-    ax = _finite(np.abs(np.asarray(x, dtype=float)), f"J{nu} needs a finite x")
-    flat = ax.ravel()
-    values = np.empty_like(flat)
-    for block in chunks(flat.size):
-        xs, out = flat[block], values[block]
-        small = xs < SERIES_ASYMPTOTIC_SWITCH
-        for route, where in ((_ascending_series, small), (_hankel, ~small)):
-            if where.any():
-                out[where] = route(nu, xs[where])
-    return values.reshape(ax.shape)
+def _bessel(nu: int, xs: np.ndarray) -> np.ndarray:
+    # J_nu on one block: J_nu(|x|) by the ascending series below the switch
+    # and by Hankel at or above it, then J_nu(-x) = (-1)^nu J_nu(x) by
+    # np.where, which unlike np.copysign keeps J1(-0.0) at +0.0.
+    ax = _finite(np.abs(xs), f"J{nu} needs a finite x")
+    values = np.empty_like(ax)
+    small = ax < SERIES_ASYMPTOTIC_SWITCH
+    for route, where in ((_ascending_series, small), (_hankel, ~small)):
+        if where.any():
+            values[where] = route(nu, ax[where])
+    return np.where(xs < 0, -values, values) if nu % 2 else values
 
 
 def _finite(x: np.ndarray, message: str) -> np.ndarray:
@@ -151,17 +148,13 @@ def _finite(x: np.ndarray, message: str) -> np.ndarray:
     return x
 
 
-def _like_input(x, values):
-    return float(values) if np.ndim(x) == 0 else values
-
-
 def bessel_j0(x):
     """Bessel J0, absolute error below 1e-12 for |x| <= 50.
 
     A float in gives a float; an array in gives an array of its shape.
     An infinite x is a ValueError.
     """
-    return _like_input(x, _bessel(0, x))  # J0 is even
+    return blockwise(lambda xs: _bessel(0, xs), x)
 
 
 def bessel_j1(x):
@@ -170,8 +163,7 @@ def bessel_j1(x):
     A float in gives a float; an array in gives an array of its shape.
     An infinite x is a ValueError.
     """
-    value = _bessel(1, x)
-    return _like_input(x, np.where(np.asarray(x) < 0, -value, value))  # J1 is odd
+    return blockwise(lambda xs: _bessel(1, xs), x)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +176,8 @@ def alpha_closed(k0: float, k: float, t):
     The couplings are matched in order: K = 0 gives cos(K0 t), K0 = 0 (a
     decoupled qubit) gives 1, then K0 = sqrt(2) K gives J0(2 K t) and
     K0 = K gives J1(2 K t) / (K t),
-    each ratio to within RATIO_MATCH_TOL relative to K0.  A float t gives
-    a float; an array gives an array of its shape.  The equal-couplings
+    each ratio to within RATIO_MATCH_TOL relative to K0.  t is a float or
+    an array, walked by :func:`spinwire.numerics.blockwise`.  The equal-couplings
     form has a removable singularity at t = 0, where the value is 1.
     Negative couplings and generic ratios, which have no closed form,
     raise ValueError; the matrix propagator handles the latter.  An
@@ -194,21 +186,23 @@ def alpha_closed(k0: float, k: float, t):
     """
     if k0 < 0 or k < 0:
         raise ValueError("couplings must be non-negative")
-    t_arr = np.asarray(t, dtype=float)
     if k == 0:
-        values = libm(math.cos, _finite(k0 * t_arr, "alpha0 needs a finite K0*t"))
+        def block(ts):
+            return libm(math.cos, _finite(k0 * ts, "alpha0 needs a finite K0*t"))
     elif k0 == 0:
-        values = np.ones_like(t_arr)
+        block = np.ones_like
     elif abs(k0 - math.sqrt(2.0) * k) <= RATIO_MATCH_TOL * k0:
-        values = bessel_j0(_finite(2.0 * k * t_arr, "alpha0 needs a finite 2*K*t"))
+        def block(ts):
+            return bessel_j0(_finite(2.0 * k * ts, "alpha0 needs a finite 2*K*t"))
     elif abs(k0 - k) <= RATIO_MATCH_TOL * k0:
-        y = k * t_arr
-        at_zero = y == 0.0
-        j1 = bessel_j1(_finite(2.0 * y, "alpha0 needs a finite 2*K*t"))
-        values = np.where(at_zero, 1.0, j1 / np.where(at_zero, 1.0, y))
+        def block(ts):
+            y = k * ts
+            at_zero = y == 0.0
+            j1 = bessel_j1(_finite(2.0 * y, "alpha0 needs a finite 2*K*t"))
+            return np.where(at_zero, 1.0, j1 / np.where(at_zero, 1.0, y))
     else:
         raise ValueError(f"no closed form for k0={k0}, k={k}; use the matrix propagator")
-    return _like_input(t, values)
+    return blockwise(block, t)
 
 
 def envelope_exponent(times, values, t_min: float, t_max: float) -> float:

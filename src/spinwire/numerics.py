@@ -1,7 +1,7 @@
-"""Shared numerical utilities: adaptive quadrature, root refinement (one
-bisection for many brackets, with the midpoints of several steps in
-each evaluation), and elementwise libm calls on arrays in bounded
-blocks."""
+"""Shared numerical utilities: the one walk of a float-or-array grid in
+bounded blocks (:func:`blockwise`), elementwise libm calls, root
+refinement (one bisection for many brackets, with the midpoints of
+several steps in each evaluation), and adaptive Simpson quadrature."""
 
 from __future__ import annotations
 
@@ -28,18 +28,28 @@ def chunks(n: int):
     return (slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK))
 
 
-def libm(fn, x: np.ndarray) -> np.ndarray:
+def blockwise(fn, t):
+    """fn, a map from a 1-d float64 block to values of its length, over t one CHUNK at a time.
+
+    A float or 0-d t gives a float; an array gives an array of t's shape.
+    Working memory is the result plus what fn holds for one block.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    values = np.empty(flat.size)
+    for block in chunks(flat.size):
+        values[block] = fn(flat[block])
+    return float(values[0]) if t.ndim == 0 else values.reshape(t.shape)
+
+
+def libm(fn, x):
     """fn, a float function built on libm such as math.cos, on each element of x.
 
     Each value is the one a scalar call gives, bit for bit: numpy's own
     cos, sin and power differ from libm in the last bit on some inputs.
-    The elements pass through Python floats one CHUNK at a time.
+    The elements pass through Python floats in :func:`blockwise` blocks.
     """
-    flat = x.ravel()
-    values = np.empty(flat.size)
-    for block in chunks(flat.size):
-        values[block] = list(map(fn, flat[block].tolist()))
-    return values.reshape(x.shape)
+    return blockwise(lambda xs: list(map(fn, xs.tolist())), x)
 
 
 # No caller in the package since chi is exact; stays importable: perfbench/tracer.py reads it by name.

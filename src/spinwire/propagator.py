@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import chunks
+from .numerics import blockwise
 
 WEIGHT_SUM_TOL = 1e-12
 MOMENT_TOL = 1e-12
@@ -114,8 +114,8 @@ class ChebyshevAlpha:
     one-element array and gives a float; each time's value has the same
     bits whatever else the call holds, so bisection midpoints see the
     values of the grid.  Time 0 gives exactly 1.
-    The times run one ``numerics.CHUNK`` at a time, each block sorted and
-    summed on its own, so working memory is the returned array plus
+    The times run through :func:`spinwire.numerics.blockwise`, each block
+    sorted and summed on its own, so working memory is the returned array plus
     O(CHUNK), plus the kept moments: about 0.7 a max|t| orders of them at
     8 B each, at most twice that after a growth, and O(min(N, M)) while
     they are computed.  The moments grow with a t whatever the chain
@@ -128,11 +128,9 @@ class ChebyshevAlpha:
         self.signed_moments = np.empty(0)
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        flat = t_arr.ravel()
-        values = np.ones(flat.size)
+        t = np.asarray(t, dtype=float)
         # a * |t| rounds monotonically, so the largest time needs the top order
-        x_max = self.a * max(abs(flat.max()), abs(flat.min())) if flat.size else 0.0
+        x_max = self.a * max(abs(t.max()), abs(t.min())) if t.size else 0.0
         if not math.isfinite(x_max):
             raise ValueError("alpha0 needs a finite a*t")
         order = _series_order(float(_order_bucket(x_max))) if x_max > 0 else 0
@@ -140,15 +138,19 @@ class ChebyshevAlpha:
         if order and order >= moments.size:
             moments = _signed_moments(self.spec, self.a, max(order + 1, 2 * moments.size))
             self.signed_moments = moments
-        for block in chunks(flat.size):
-            x = self.a * np.abs(flat[block])
+
+        def block(ts):
+            values = np.ones(ts.size)
+            x = self.a * np.abs(ts)
             rows = np.flatnonzero(x > 0)
             rows = rows[np.argsort(x[rows], kind="stable")]
             orders = _series_orders(x[rows])
             rows, orders = rows[orders > 0], orders[orders > 0]
             if rows.size:
-                values[block][rows] = _miller_sums(x[rows], orders, moments)
-        return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
+                values[rows] = _miller_sums(x[rows], orders, moments)
+            return values
+
+        return blockwise(block, t)
 
 
 def _signed_moments(spec: ChainSpec, a: float, count: int) -> np.ndarray:
@@ -275,9 +277,9 @@ def eigh_tridiagonal(d, e):
 class SpectralAlpha:
     """alpha0(t) evaluator bound to one chain, by one dense eigensolve.
 
-    Does the eigensolve once; calls are then a cosine sum, one
-    ``numerics.CHUNK`` of times at a time, so a call's working memory is
-    O(CHUNK N) besides the returned array.
+    Does the eigensolve once; calls are then a cosine sum over each
+    :func:`spinwire.numerics.blockwise` block of times, so a call's
+    working memory is O(CHUNK N) besides the returned array.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -297,18 +299,16 @@ class SpectralAlpha:
         self.weights = weights
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        flat = t_arr.ravel()
-        values = np.empty(flat.size)
         # one CHUNK of times x N sites at a time; each row summed by numpy's own
         # pairwise sum, so a float t gets the bits it gets inside a grid, in any
         # block; a matrix-vector product sums one row in another order
-        for block in chunks(flat.size):
-            terms = np.outer(flat[block], self.eigenvalues)
+        def cosine_sum(ts):
+            terms = np.outer(ts, self.eigenvalues)
             np.cos(terms, out=terms)
             terms *= self.weights
-            values[block] = terms.sum(axis=1)
-        return float(values[0]) if t_arr.ndim == 0 else values
+            return terms.sum(axis=1)
+
+        return blockwise(cosine_sum, t)
 
 
 def choose_chain_length(

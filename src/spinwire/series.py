@@ -37,11 +37,10 @@ public :func:`build_series` reduces each pair once, to a Fraction.
 Floating point enters only when a series is evaluated at a concrete
 time, so cancellation is confined to the final sum and reported through
 an error estimate; the alternating series is trustworthy roughly while
-the last retained term is small.  :func:`evaluate_series` takes a float or an
-array of times; an array gives arrays whose every element has the bits
-of the float call, with the tail power taken from libm, not numpy.  It,
-chi and the inflection point share one order rule, :func:`_check_order`:
-a series is built to order 2 at least.
+the last retained term is small.  :func:`evaluate_series` walks a float
+or an array of times with :func:`spinwire.numerics.blockwise`.  It, chi
+and the inflection point share one order rule, :func:`_check_order`: a
+series is built to order 2 at least.
 """
 
 from __future__ import annotations
@@ -50,9 +49,7 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
-from .numerics import libm
+from .numerics import blockwise, libm
 
 DEFAULT_ORDER = 20
 
@@ -174,22 +171,22 @@ def evaluate_series(coeffs, t):
     in the alternating sum, about eps * sum_j |c_j| t^(2j), is not in the
     estimate and can swamp it (README.md shows a case).
 
-    An array t gives (values, errors) arrays of its shape, each element
-    bit-identical to a float call: Horner does the same float64
-    operations in the same order, and the tail power t^(2 order) comes
-    from libm for every element (numpy's power differs in the last bit
-    on some inputs).  A power past the float range raises OverflowError
-    either way.
+    t is a float or an array, walked by :func:`spinwire.numerics.blockwise`
+    for the values and again for the errors; every element has the bits
+    of a float call, the tail power t^(2 order) from libm (numpy's power
+    differs in the last bit on some inputs).  A power past the float
+    range raises OverflowError.
     """
     order = len(coeffs) - 1
     _check_order(order)
     floats = [float(c) for c in coeffs]
-    u = t * t
+    tail = abs(floats[-1])
+    # errors first: an overflowing tail power raises before Horner warns of the overflow
     try:
-        power = libm(lambda v: v**order, u) if isinstance(u, np.ndarray) else u**order
+        errors = blockwise(lambda ts: 2.0 * (tail * libm(lambda u: u**order, ts * ts)), t)
     except OverflowError as exc:
         raise OverflowError(f"series tail power t**{2 * order} overflows a float") from exc
-    return horner(floats, u), 2.0 * (abs(floats[-1]) * power)
+    return blockwise(lambda ts: horner(floats, ts * ts), t), errors
 
 
 def alpha_z(alpha_x: float) -> float:

@@ -18,7 +18,8 @@ Claims checked here:
       here as a reference, bit for bit, across chunk edges and the
       series/Hankel switch, and on a seeded sweep of the series range
       that includes the Bessel zeros, subnormal x and the largest x
-      below the switch
+      below the switch; the Bessel closed forms hold their values plus
+      one block of working memory
     - fsum_columns equals math.fsum on every column, near-ties and
       signed zeros included
     - an infinite argument is a ValueError naming it; a NaN gives NaN
@@ -162,6 +163,15 @@ def test_array_alpha_closed_matches_scalar_loop_bitwise(k0, k):
     assert values[0] == 1.0
 
 
+@pytest.mark.parametrize("k0,k", [(1.0, 1.0), (math.sqrt(2.0), 1.0)])
+def test_alpha_closed_memory_is_its_values_plus_a_block(k0, k, traced_peak):
+    # 50 blocks of times: the Bessel term table, its sums and the J1
+    # quotient each hold one block, whatever the grid
+    times = np.linspace(0.0, 30.0, 50 * CHUNK)
+    values, peak = traced_peak(lambda: alpha_closed(k0, k, times))
+    assert peak < values.nbytes + 2_500_000
+
+
 # Zeros of J0 and J1 below the series/Hankel switch, to double precision.
 J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281)
 J1_ZEROS = (3.8317059702075125, 7.015586669815619, 10.173468135062722)
@@ -237,6 +247,9 @@ def test_infinite_argument_is_a_value_error_and_nan_gives_nan():
 def test_values_at_zero():
     assert bessel_j0(0.0) == 1.0
     assert bessel_j1(0.0) == 0.0
+    # the odd flip keeps the sign of J1's +0.0 at -0.0, as a copysign would not
+    for x in (-0.0, np.array([-0.0])):
+        assert math.copysign(1.0, np.ravel(bessel_j1(x))[0]) == 1.0
 
 
 def test_pinned_values():

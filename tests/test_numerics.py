@@ -1,4 +1,9 @@
-"""Quadrature and root-refinement unit tests.
+"""Grid-walk, quadrature and root-refinement unit tests.
+
+Every float-or-array route walks its times with blockwise: a float,
+numpy scalar or 0-d time gives a float, an empty or 2-d grid keeps its
+shape, and the values on either side of each CHUNK join have the bits of
+one scalar call per time.
 
 bisect_root evaluates the midpoints of TREE_DEPTH steps per call of f;
 _bisect_one_step, one midpoint per bracket per call, is the loop it must
@@ -14,8 +19,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwire import numerics
-from spinwire.numerics import adaptive_simpson, bisect_root
+from spinwire import (
+    ChainSpec,
+    ChebyshevAlpha,
+    SpectralAlpha,
+    alpha_closed,
+    bessel_j0,
+    bessel_j1,
+    build_series,
+    evaluate_series,
+    numerics,
+)
+from spinwire.numerics import CHUNK, adaptive_simpson, bisect_root, libm
+
+SERIES = build_series(0.49, 1.69, 20)
+ROUTES = {
+    "chebyshev": ChebyshevAlpha(ChainSpec(1.3, 0.7, 60)),
+    "spectral": SpectralAlpha(ChainSpec(1.3, 0.7, 60)),
+    "closed-wire-off": lambda t: alpha_closed(0.9, 0.0, t),
+    "closed-decoupled": lambda t: alpha_closed(0.0, 0.9, t),
+    "closed-sqrt2": lambda t: alpha_closed(math.sqrt(2.0) * 0.8, 0.8, t),
+    "closed-equal": lambda t: alpha_closed(1.3, 1.3, t),
+    "bessel_j0": bessel_j0,
+    "bessel_j1": bessel_j1,
+    "series-values": lambda t: evaluate_series(SERIES, t)[0],
+    "series-errors": lambda t: evaluate_series(SERIES, t)[1],
+    "libm": lambda t: libm(math.cos, t),
+}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_blockwise_routes_keep_type_shape_and_bits(name):
+    f = ROUTES[name]
+    scalar = f(-1.5)
+    assert type(scalar) is float
+    for t in (np.float64(-1.5), np.array(-1.5)):
+        assert type(f(t)) is float and f(t) == scalar
+    for shape in ((0,), (0, 3)):
+        assert f(np.empty(shape)).shape == shape
+    times = np.linspace(-5.0, 30.0, 3 * CHUNK + 1)
+    grid = f(times)
+    assert grid.shape == times.shape and grid.dtype == np.float64
+    assert f(times[:6].reshape(2, 3)).tobytes() == grid[:6].tobytes()
+    joins = (CHUNK * np.arange(1, 4)[:, None] + np.arange(-2, 2)).clip(max=times.size - 1)
+    picked = np.r_[0, joins.ravel()]
+    assert grid[picked].tobytes() == np.array([f(float(t)) for t in times[picked]]).tobytes()
 
 
 def test_simpson_polynomial_exact():

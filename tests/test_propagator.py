@@ -6,8 +6,9 @@ Claims checked here:
     - a two-site chain gives alpha0(t) = cos(K0 t) exactly
     - the spectrum is chiral and the sine part of the propagator entry
       cancels, so alpha0 is real, even, and bounded by 1
-    - the spectral alpha0 agrees with the Bessel closed forms, and gives
-      a float t the bits it has inside a grid, across block joins too
+    - the spectral alpha0 agrees with the Bessel closed forms, gives
+      a float t the bits it has inside a grid, across block joins too,
+      and keeps the shape of a 2-d grid
     - the a-priori truncation bound holds on the whole time grid for
       random couplings, against a chain four times longer
     - chain-length selection starts at the light cone, grows only while
@@ -231,6 +232,14 @@ def test_spectral_scalar_equals_array(k0, k, n):
     grid = alpha(times)
     assert np.array_equal(grid, [alpha(float(t)) for t in times])
     assert isinstance(alpha(float(times[-1])), float)
+
+
+def test_spectral_keeps_the_shape_of_a_2d_grid():
+    alpha = SpectralAlpha(ChainSpec(1.0, 1.0, 20))
+    times = np.linspace(0.0, 5.0, 6)
+    values = alpha(times.reshape(2, 3))
+    assert values.shape == (2, 3)
+    assert values.tobytes() == alpha(times).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,10 @@ Claims checked here:
       and a rounding bound of the alternating sum are small
     - coefficients alternate in sign for positive couplings
     - an array of times gives, value and error alike, the bits of one
-      scalar call per time
+      scalar call per time, and a numpy scalar the floats of a float call;
+      a tail power past the float range is an OverflowError for a float,
+      numpy scalar, 0-d or 1-d t; values and errors hold one block of
+      working memory besides themselves
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from spinwire import (
     catalan,
     walk_count,
 )
+from spinwire.numerics import CHUNK
 from spinwire.series import _series_pairs, horner
 from spinwire.walks import walk_rows
 
@@ -270,6 +274,27 @@ def test_array_evaluation_matches_scalar_calls_bitwise(order):
     scalar = [evaluate_series(series, t) for t in times.tolist()]
     assert values.tobytes() == np.array([v for v, _ in scalar]).tobytes()
     assert errors.tobytes() == np.array([e for _, e in scalar]).tobytes()
+
+
+@pytest.mark.parametrize("t", [1e20, np.float64(1e20), np.array(1e20), np.array([1.0, 1e20])],
+                         ids=["float", "float64", "0-d", "1-d"])
+def test_tail_power_overflow_is_an_overflow_error_for_every_kind_of_t(t):
+    with pytest.raises(OverflowError, match=r"t\*\*40 overflows"):
+        evaluate_series(build_series(1, 1, order=20), t)
+
+
+def test_numpy_scalar_gives_the_floats_of_a_float_call():
+    series = build_series(1, 1, order=20)
+    value, err = evaluate_series(series, np.float64(1.0))
+    assert type(value) is float and type(err) is float
+    assert np.array([value, err]).tobytes() == np.array(evaluate_series(series, 1.0)).tobytes()
+
+
+def test_evaluate_memory_is_its_values_plus_a_block(traced_peak):
+    series = build_series(1, 1, order=20)
+    times = np.linspace(0.0, 2.0, 50 * CHUNK)
+    (values, errors), peak = traced_peak(lambda: evaluate_series(series, times))
+    assert peak < values.nbytes + errors.nbytes + 1_000_000
 
 
 @pytest.mark.parametrize("k0_sq,k_sq", COUPLING_GRID)
