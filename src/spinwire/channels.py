@@ -286,15 +286,16 @@ def magnetized_bloch_trace(spec: ChainSpec, times) -> np.ndarray:
 
     At every zero of alpha0 the excitation has fully left the qubit and
     the state is again completely polarized (v^2 = 1); the global
-    minimum 3/4 sits at alpha0^2 = 1/2.  Returns v^2 at the given times,
-    in their shape; the caller keeps the times.
+    minimum 3/4 sits at alpha0^2 = 1/2.  Returns v^2 at the given times:
+    a float for a float or 0-d time, else an array of their shape; the
+    caller keeps the times.
     """
     v_sq = np.asarray(ChebyshevAlpha(spec)(times))
     flat = v_sq.reshape(-1)  # a view: alpha0 turns into v^2 in place, a block at a time
     for block in chunks(flat.size):
         a_sq = flat[block] * flat[block]
         flat[block] = a_sq + (1.0 - a_sq) ** 2
-    return v_sq
+    return float(v_sq) if v_sq.ndim == 0 else v_sq
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,9 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
     Interval edges found on the grid are refined together by one array
     bisection.  The grid is the caller's resolution contract: intervals
     narrower than one grid step can be missed.  The returned trace holds
-    W at each grid time, not the grid itself.
+    W at each grid time, not the grid itself.  W is built in place in the
+    alpha array, one CHUNK at a time, so working memory is W plus one
+    more grid-sized alpha array for distinct chains and O(CHUNK) besides.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
@@ -342,15 +345,19 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
         u_sq = u * u
         return 2.0 * u_sq + u_sq * u_sq
 
-    w = witness_at(times)
+    # witness_at's operations on the grid, in place: u, then 2 u^2 + u^4
+    w = alpha_a(times)
+    w *= w if alpha_b is alpha_a else alpha_b(times)
+    for block in chunks(w.size):
+        u_sq = w[block] * w[block]
+        w[block] = 2.0 * u_sq + u_sq * u_sq
     above = w > WITNESS_THRESHOLD  # strict: the criterion is sufficient only
 
     edges = np.flatnonzero(above[1:] != above[:-1])
-    margin = w - WITNESS_THRESHOLD
     crossings = bisect_root(
         lambda t: witness_at(t) - WITNESS_THRESHOLD,
-        times[edges], times[edges + 1],
-        f_lo=margin[edges], f_hi=margin[edges + 1], xtol=CROSSING_XTOL,
+        times[edges], times[edges + 1], xtol=CROSSING_XTOL,
+        f_lo=w[edges] - WITNESS_THRESHOLD, f_hi=w[edges + 1] - WITNESS_THRESHOLD,
     ).tolist()
     # crossings alternate up and down; the grid ends close what they leave open
     bounds = [float(times[0])] + crossings if above[0] else crossings

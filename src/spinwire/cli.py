@@ -201,13 +201,8 @@ def _csv(header: str, columns, comments=()):
         yield format_rows(np.column_stack([column[block] for column in columns]))
 
 
-def _chain_length(k0: float, k: float, tmax: float, tol: float) -> int:
-    """Certified chain length for a run to tmax; a run that stays at t=0 gets 2 sites."""
-    return choose_chain_length(k, tmax, tol, k0=k0) if tmax > 0 else 2
-
-
 def _chain_comment(n_sites: int, tmax: float) -> list[str]:
-    """The chosen chain length, unless the run stays at t=0 and chose none."""
+    """The chosen chain length, unless the run stays at t=0, where its 2 sites certify nothing."""
     return [f"# n_sites={n_sites}"] if tmax > 0 else []
 
 
@@ -242,7 +237,7 @@ def _run_alpha(params):
     elif method == MATRIX:
         n_sites = params["n_sites"]
         if n_sites is None:
-            n_sites = _chain_length(k0, k, tmax, params["tol"])
+            n_sites = choose_chain_length(k, tmax, params["tol"], k0=k0)
             comments = _chain_comment(n_sites, tmax)
         values = ChebyshevAlpha(ChainSpec(k0, k, n_sites))(times)
         # |alpha| <= 1 on any chain, so 2 is the trivial bound
@@ -267,7 +262,7 @@ def _run_chi_scan(params):
 
 def _run_bloch(params):
     k0, k, tmax = params["k0"], params["k"], params["tmax"]
-    n = _chain_length(k0, k, tmax, params["tol"])
+    n = choose_chain_length(k, tmax, params["tol"], k0=k0)
     times = np.linspace(0.0, tmax, params["steps"])
     v_sq = magnetized_bloch_trace(ChainSpec(k0, k, n), times)
     plot = (times, v_sq, "t", "v^2", "Bloch length, magnetized chain")
@@ -277,7 +272,7 @@ def _run_bloch(params):
 def _run_witness(params):
     tmax, tol = params["tmax"], params["tol"]
     spec_a, spec_b = (
-        ChainSpec(params[k0], params[k], _chain_length(params[k0], params[k], tmax, tol))
+        ChainSpec(params[k0], params[k], choose_chain_length(params[k], tmax, tol, k0=params[k0]))
         for k0, k in (("k0a", "ka"), ("k0b", "kb"))
     )
     times = np.linspace(0.0, tmax, params["steps"])

@@ -1,5 +1,6 @@
 """Shared numerical utilities: the one walk of a float-or-array grid in
-bounded blocks (:func:`blockwise`), elementwise libm calls, root
+bounded blocks (:func:`blockwise`), elementwise libm calls, the one
+search for the least integer with a property (:func:`least`), root
 refinement (one bisection for many brackets, with the midpoints of
 several steps in each evaluation), and adaptive Simpson quadrature."""
 
@@ -21,6 +22,12 @@ CHUNK = 4096
 # evaluate more points nobody reads: with 500 edges, 5 is no faster than
 # one midpoint per call, 4 still twice as fast.
 TREE_DEPTH = 4
+
+# Midpoints one bracket gets at most, a multiple of TREE_DEPTH.  Most
+# brackets stop on xtol long before; one narrower than the ulp spacing
+# of its root (a witness edge near t = 1e8 at xtol 1e-9) stops shrinking,
+# and only this count ends it.
+MAX_ITER = 200
 
 
 def chunks(n: int):
@@ -50,6 +57,22 @@ def libm(fn, x):
     The elements pass through Python floats in :func:`blockwise` blocks.
     """
     return blockwise(lambda xs: list(map(fn, xs.tolist())), x)
+
+
+def least(holds: Callable[[int], bool], start: int) -> int:
+    """The least integer n >= start with holds(n), for a holds that stays true once true.
+
+    Tries start, then start + 1, start + 2, start + 4, .. until holds, and
+    bisects the last step: about 2 log2(n - start) calls of holds, and one
+    when holds(start).
+    """
+    lo, hi = start - 1, start  # lo is start - 1 or an n where holds fails
+    while not holds(hi):
+        lo, hi = hi, start + max(1, 2 * (hi - start))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 # No caller in the package since chi is exact; stays importable: perfbench/tracer.py reads it by name.
@@ -98,13 +121,12 @@ def bisect_root(
     f_lo=None,
     f_hi=None,
     xtol: float = 1e-12,
-    max_iter: int = 200,
 ):
     """Bisection of a float bracket, or of equal-length arrays of them at once.
 
     f maps an array of points to their values, each with the bits it has
     alone.  Each bracket stops on its own (at an endpoint or midpoint
-    where f is 0, once hi - lo <= xtol, or after max_iter midpoints) with
+    where f is 0, once hi - lo <= xtol, or after MAX_ITER midpoints) with
     the bits of a one-bracket call.  One call of f covers the next
     TREE_DEPTH steps of every bracket still going: it takes the
     2^TREE_DEPTH - 1 midpoints those steps can reach, each 0.5 * (lo + hi)
@@ -123,22 +145,20 @@ def bisect_root(
         i = todo[np.argmax(same)]
         raise ValueError(f"no sign change on [{lo[i]}, {hi[i]}]: f={f_lo[i]}, {f_hi[i]}")
     # tree[i, j] is f at point j of bracket i's midpoint tree, numbered from 0 at
-    # its lo to 2^depth at its hi when the tree was built; the bracket now runs
+    # its lo to 2^TREE_DEPTH at its hi when the tree was built; the bracket now runs
     # from point left[i] to left[i] + span, and at span 1 the tree is used up
     left, span = np.zeros(lo.size, dtype=np.intp), 1
-    for steps in range(max_iter + 1):
+    for steps in range(MAX_ITER + 1):
         mid = 0.5 * (lo[todo] + hi[todo])
         roots[todo] = mid
         going = ~(hi[todo] - lo[todo] <= xtol)  # a NaN width does not stop
         todo, mid = todo[going], mid[going]
-        if not todo.size or steps == max_iter:
+        if not todo.size or steps == MAX_ITER:
             break
         if span == 1:
-            depth = min(TREE_DEPTH, max_iter - steps)
-            tree = np.empty((lo.size, 2**depth + 1))
-            tree[todo, 1:-1] = np.reshape(f(_midpoint_tree(lo[todo], hi[todo], depth)),
-                                          (todo.size, -1))
-            left[todo], span = 0, 2**depth
+            tree = np.empty((lo.size, 2**TREE_DEPTH + 1))
+            tree[todo, 1:-1] = np.reshape(f(_midpoint_tree(lo[todo], hi[todo])), (todo.size, -1))
+            left[todo], span = 0, 2**TREE_DEPTH
         span //= 2
         f_mid = tree[todo, left[todo] + span]
         upper = (f_mid > 0) == (f_hi[todo] > 0)
@@ -149,14 +169,14 @@ def bisect_root(
     return float(roots[0]) if scalar else roots
 
 
-def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """The 2^depth - 1 midpoints of depth bisection steps of each bracket, flat.
+def _midpoint_tree(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 2^TREE_DEPTH - 1 midpoints of TREE_DEPTH bisection steps of each bracket, flat.
 
     Row by row and left to right: every point is 0.5 * (a + b) of the two
     points it lies between, as bisection computes it.
     """
     points = np.stack([lo, hi], axis=1)
-    for _ in range(depth):
+    for _ in range(TREE_DEPTH):
         finer = np.empty((points.shape[0], 2 * points.shape[1] - 1))
         finer[:, ::2] = points
         finer[:, 1::2] = 0.5 * (points[:, :-1] + points[:, 1:])

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import blockwise
+from .numerics import blockwise, least
 
 WEIGHT_SUM_TOL = 1e-12
 MOMENT_TOL = 1e-12
@@ -253,19 +253,7 @@ def _series_order(x: float) -> int:
     bucket values, so the cache holds at most ORDER_BUCKETS per octave.
     """
     limit = math.log(BESSEL_TAIL_TOL / 2.0)
-
-    def enough(order: int) -> bool:
-        return _log_tail(x / 2.0, 2 * order + 2, 2) < limit
-
-    if enough(0):
-        return 0
-    lo, hi = 0, 1  # enough(hi) is false until the doubling ends
-    while not enough(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
-    return hi
+    return least(lambda order: _log_tail(x / 2.0, 2 * order + 2, 2) < limit, 0)
 
 
 def eigh_tridiagonal(d, e):
@@ -318,26 +306,27 @@ def choose_chain_length(
     *,
     k0: float,
 ) -> int:
-    """Smallest certified chain length for simulating up to t_max.
+    """Smallest certified chain length at or above the light-cone start, for
+    simulating up to t_max.
 
-    Starts from the light-cone estimate ceil(2 k t_max) + LIGHT_CONE_BUFFER
-    and grows the chain only while :func:`truncation_bound` is not below
-    tol, so the returned N is certified on the whole grid 0 <= t <= t_max
-    without an eigensolve.  Only a strong plug at long times needs more
-    than the start.
+    The start is ceil(2 k t_max) + LIGHT_CONE_BUFFER, and the result the
+    least N from there whose :func:`truncation_bound` is below tol, so it
+    is certified on the whole grid 0 <= t <= t_max without an eigensolve.
+    The bound stays below tol once it is: both of its tails shrink as N
+    grows, so :func:`spinwire.numerics.least` finds that N.  Only a strong
+    plug at long times needs more than the start; shorter chains below
+    the start may certify too (K0 = K = 1, t_max = 10 gives the start 70,
+    where 23 sites already would).  K = 0 (a single-site environment) and
+    t_max = 0 (nothing to simulate) give the 2-site minimum.
     """
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    if not (0 <= k < math.inf and 0 <= k0 < math.inf):
-        raise ValueError(f"k and k0 must be finite and non-negative, got {k}, {k0}")
-    if k == 0:
-        return 2  # single-site environment; alpha0 is exactly periodic
-    n = math.ceil(LIGHT_CONE_SPEED_FACTOR * k * t_max) + LIGHT_CONE_BUFFER
-    while truncation_bound(k0, k, n, t_max) >= tol:
-        n += 1
-    return n
+    if not all(0 <= x < math.inf for x in (k0, k, t_max)):
+        raise ValueError(f"k0, k and t_max must be finite and non-negative, got {k0}, {k}, {t_max}")
+    if k == 0 or t_max == 0:
+        return 2
+    start = math.ceil(LIGHT_CONE_SPEED_FACTOR * k * t_max) + LIGHT_CONE_BUFFER
+    return least(lambda n: truncation_bound(k0, k, n, t_max) < tol, start)
 
 
 def truncation_bound(k0: float, k: float, n_sites: int, t_max: float) -> float:

@@ -173,17 +173,26 @@ def evaluate_series(coeffs, t):
 
     t is a float or an array, walked by :func:`spinwire.numerics.blockwise`
     for the values and again for the errors; every element has the bits
-    of a float call, the tail power t^(2 order) from libm (numpy's power
+    of a float call, the tail power (t t)^order from libm (numpy's power
     differs in the last bit on some inputs).  A power past the float
-    range raises OverflowError.
+    range, t t included, raises OverflowError.
     """
     order = len(coeffs) - 1
     _check_order(order)
     floats = [float(c) for c in coeffs]
     tail = abs(floats[-1])
+
+    def tail_terms(ts):
+        # t t in Python floats, the IEEE product numpy takes: an inf there, which
+        # Python's pow passes on, is the one overflow that pow does not raise
+        powers = libm(lambda v: (v * v) ** order, ts)
+        if (powers == math.inf).any():
+            raise OverflowError
+        return 2.0 * (tail * powers)
+
     # errors first: an overflowing tail power raises before Horner warns of the overflow
     try:
-        errors = blockwise(lambda ts: 2.0 * (tail * libm(lambda u: u**order, ts * ts)), t)
+        errors = blockwise(tail_terms, t)
     except OverflowError as exc:
         raise OverflowError(f"series tail power t**{2 * order} overflows a float") from exc
     return blockwise(lambda ts: horner(floats, ts * ts), t), errors

@@ -570,6 +570,15 @@ def test_magnetized_memory_is_its_trace_plus_a_block(traced_peak):
     assert np.array_equal(v_sq, a_sq + (1.0 - a_sq) ** 2)
 
 
+@pytest.mark.parametrize("t", [1.7, np.float64(1.7), np.array(1.7)], ids=["float", "float64", "0-d"])
+def test_magnetized_float_time_gives_the_float_of_the_grid(t):
+    spec = ChainSpec(math.sqrt(2.0), 1.0, 60)
+    v_sq = magnetized_bloch_trace(spec, t)
+    assert type(v_sq) is float
+    grid = magnetized_bloch_trace(spec, np.array([0.3, 1.7, 2.9]))
+    assert v_sq.hex() == float(grid[1]).hex()
+
+
 # ----------------------------------------------------------------- witness --
 
 def test_witness_starts_at_three():
@@ -643,6 +652,21 @@ def test_witness_calls_each_evaluator_once_per_time(monkeypatch, k0b, evaluators
     step = times[1] - times[0]
     steps = math.ceil(math.log2(step / channels.CROSSING_XTOL))
     assert 1 + len(evaluations) <= 2 + math.ceil(steps / TREE_DEPTH)
+
+
+@pytest.mark.parametrize("k0b", [4.0, 3.0], ids=["equal", "distinct"])
+def test_witness_memory_is_its_trace_plus_an_alpha_array(traced_peak, k0b):
+    # W is built in place in alphaA's array; distinct chains add alphaB's
+    n = choose_chain_length(1.0, 40.0, k0=4.0)
+    spec_a, spec_b = ChainSpec(4.0, 1.0, n), ChainSpec(k0b, 1.0, n)
+    times = np.linspace(0.0, 40.0, 200001)
+    u = ChebyshevAlpha(spec_a)(times) * ChebyshevAlpha(spec_b)(times)  # warms the order cache
+    u_sq = u * u
+    expected = 2.0 * u_sq + u_sq * u_sq
+    trace, peak = traced_peak(lambda: singlet_witness(spec_a, spec_b, times))
+    assert trace.witness.tobytes() == expected.tobytes()
+    arrays = 1 if k0b == 4.0 else 2
+    assert peak < arrays * times.nbytes + 600_000
 
 
 def _witness_edges_one_by_one(spec_a, spec_b, times):

@@ -357,9 +357,8 @@ def test_failed_allocation_exits_1(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, column", [
-    # the series overflows to inf * 0 far outside its window
-    (["alpha", "--method", "series", "--k0", "1", "--k", "1", "--tmax", "1e300", "--steps", "3"],
-     "alpha0"),
+    # 2 * 2 * t overflows at t = 1e308, and cos(inf) is NaN
+    (["recurrence", "--freqs", "1,2", "--tmax", "1e308", "--steps", "3"], "p"),
     # 2 * 1e308 * t overflows, and cos(inf) is NaN
     (["recurrence", "--freqs", "1,1e308", "--tmax", "1", "--steps", "3"], "p"),
 ])
@@ -373,6 +372,22 @@ def test_nan_in_a_column_exits_1_and_writes_nothing(tmp_path, capsys, argv, colu
     assert captured.err == f"spinwire {argv[0]}: error: column {column} holds NaN\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.filterwarnings("error")
+def test_series_overflow_exits_1_and_writes_nothing(tmp_path, capsys, to_file):
+    # far outside the series window t * t overflows before the tail power does
+    out = tmp_path / "series.csv"
+    for tmax in ("1e200", "1e300"):
+        argv = ["alpha", "--method", "series", "--k0", "1", "--k", "1", "--tmax", tmax,
+                "--steps", "3"]
+        code = main(argv + (["--out", str(out)] if to_file else []))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "spinwire alpha: error: series tail power t**40 overflows a float\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key", ["out", "plot"])

@@ -8,6 +8,8 @@ one scalar call per time.
 bisect_root evaluates the midpoints of TREE_DEPTH steps per call of f;
 _bisect_one_step, one midpoint per bracket per call, is the loop it must
 match bit for bit.
+
+least, the one integer search, must equal a linear scan from its start.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from spinwire import (
     evaluate_series,
     numerics,
 )
-from spinwire.numerics import CHUNK, adaptive_simpson, bisect_root, libm
+from spinwire.numerics import CHUNK, MAX_ITER, adaptive_simpson, bisect_root, least, libm
 
 SERIES = build_series(0.49, 1.69, 20)
 ROUTES = {
@@ -134,20 +136,20 @@ _brackets = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(brackets=st.lists(_brackets, min_size=1, max_size=12),
-       xtol=st.sampled_from([1e-12, 1e-6, 0.0]), max_iter=st.sampled_from([8, 200]))
-def test_bisect_array_matches_one_bracket_calls(brackets, xtol, max_iter):
+       xtol=st.sampled_from([1e-12, 1e-6, 0.0]))
+def test_bisect_array_matches_one_bracket_calls(brackets, xtol):
     lo, hi = (np.array(side, dtype=float) for side in zip(*brackets))
     singles, refused = [], False
     for a, b in brackets:
         try:
-            singles.append(bisect_root(_sawtooth, float(a), float(b), xtol=xtol, max_iter=max_iter))
+            singles.append(bisect_root(_sawtooth, float(a), float(b), xtol=xtol))
         except ValueError:
             refused = True
     if refused:  # some bracket holds no sign change: the array call refuses too
         with pytest.raises(ValueError, match="sign change"):
-            bisect_root(_sawtooth, lo, hi, xtol=xtol, max_iter=max_iter)
+            bisect_root(_sawtooth, lo, hi, xtol=xtol)
         return
-    roots = bisect_root(_sawtooth, lo, hi, xtol=xtol, max_iter=max_iter)
+    roots = bisect_root(_sawtooth, lo, hi, xtol=xtol)
     assert roots.shape == lo.shape
     assert [r.hex() for r in roots.tolist()] == [r.hex() for r in singles]
 
@@ -163,7 +165,7 @@ def test_bisect_array_of_bracket_kinds():
 
 
 
-def _bisect_one_step(f, lo, hi, xtol, max_iter):
+def _bisect_one_step(f, lo, hi, xtol, max_iter=MAX_ITER):
     """One-bracket bisection, one call of f per step: the reference loop."""
     f_lo, f_hi = f(np.array([lo]))[0], f(np.array([hi]))[0]
     if f_lo == 0.0:
@@ -194,23 +196,24 @@ def _cubic(x):
 @settings(max_examples=300, deadline=None)
 @given(brackets=st.lists(_brackets, min_size=1, max_size=8),
        f=st.sampled_from([_sawtooth, _cubic, np.sin]),
-       xtol=st.sampled_from([0.0, 1e-12, 1e-6, 0.01]),
-       max_iter=st.sampled_from([1, 3, 5, 8, 200]))
-def test_bisect_matches_the_one_step_loop(brackets, f, xtol, max_iter):
-    # max_iter values that are not multiples of TREE_DEPTH cut a tree short
+       xtol=st.sampled_from([0.0, 1e-12, 1e-6, 0.01]))
+def test_bisect_matches_the_one_step_loop(brackets, f, xtol):
     expected = []
     for a, b in brackets:
         try:
-            expected.append(_bisect_one_step(f, float(a), float(b), xtol, max_iter))
+            expected.append(_bisect_one_step(f, float(a), float(b), xtol))
         except ValueError:
             return  # refusals are the business of the test above
     lo, hi = (np.array(side, dtype=float) for side in zip(*brackets))
-    roots = bisect_root(f, lo, hi, xtol=xtol, max_iter=max_iter)
+    roots = bisect_root(f, lo, hi, xtol=xtol)
     assert [r.hex() for r in roots.tolist()] == [r.hex() for r in expected]
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 3, 4, 5, 8, 200])
-def test_bisect_calls_f_once_per_tree(max_iter):
+def test_bisect_calls_f_once_per_tree(max_iter, monkeypatch):
+    # step caps below the 40 steps the brackets need; a cap inside a tree
+    # still evaluates the whole tree, and stops at the cap
+    monkeypatch.setattr(numerics, "MAX_ITER", max_iter)
     calls = []
 
     def f(x):
@@ -218,12 +221,55 @@ def test_bisect_calls_f_once_per_tree(max_iter):
         return _cubic(x)
 
     # 40 one-step calls: the width 1 halves until it is below 1e-12
-    root = bisect_root(f, np.array([0.0, 0.25]), np.array([1.0, 1.25]), xtol=1e-12,
-                       max_iter=max_iter)
+    root = bisect_root(f, np.array([0.0, 0.25]), np.array([1.0, 1.25]), xtol=1e-12)
     one_step = [_bisect_one_step(_cubic, a, a + 1.0, 1e-12, max_iter) for a in (0.0, 0.25)]
     assert root.tolist() == one_step
-    steps = min(max_iter, 40)
     depth = numerics.TREE_DEPTH
-    assert len(calls) == 2 + math.ceil(steps / depth)  # f(lo) and f(hi), then the trees
-    trees = [depth] * (steps // depth) + ([steps % depth] if steps % depth else [])
-    assert calls[2:] == [2 * (2**d - 1) for d in trees]
+    trees = math.ceil(min(max_iter, 40) / depth)
+    assert calls == [2, 2] + [2 * (2**depth - 1)] * trees  # f(lo) and f(hi), then the trees
+
+
+def test_bisect_stops_on_a_bracket_below_the_ulp_of_its_root():
+    # at 1e8 the ulp is 1.5e-8 and the root lies between 1e8 and the next
+    # double: the bracket cannot narrow to xtol 1e-9, and only the step cap
+    # ends it, with the bits of the one-step loop
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return (x - 1e8) - 5e-9
+
+    lo, hi = 1e8 - 1.0, 1e8 + 1.0
+    root = bisect_root(f, lo, hi, xtol=1e-9)
+    assert len(calls) == 2 + MAX_ITER // numerics.TREE_DEPTH  # f(lo), f(hi), every tree
+    assert root == _bisect_one_step(f, lo, hi, 1e-9)
+    assert 1e8 <= root <= np.nextafter(1e8, 2e8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold=st.integers(-50, 3000), start=st.integers(-60, 2000))
+def test_least_is_a_linear_scan(threshold, start):
+    calls = []
+
+    def holds(n):
+        calls.append(n)
+        return n >= threshold
+
+    expected = next(n for n in range(start, max(start, threshold) + 1) if holds(n))
+    calls.clear()
+    assert least(holds, start) == expected
+    if threshold <= start:  # already true at start: one call
+        assert calls == [start]
+    else:
+        assert len(calls) <= 2 * (threshold - start).bit_length() + 1
+
+
+def test_least_starts_by_doubling_the_distance():
+    calls = []
+
+    def holds(n):
+        calls.append(n)
+        return n >= 11
+
+    assert least(holds, 3) == 11
+    assert calls == [3, 4, 5, 7, 11, 9, 10]

@@ -11,10 +11,14 @@ Claims checked here:
       and keeps the shape of a 2-d grid
     - the a-priori truncation bound holds on the whole time grid for
       random couplings, against a chain four times longer
-    - chain-length selection starts at the light cone, grows only while
-      the bound exceeds tol, runs no eigensolve, and grows linearly in
-      t_max; it needs the plug coupling k0, and it and the bound raise
-      ValueError for a nan or infinite coupling or t_max
+    - chain-length selection starts at the light cone, returns the least
+      length from there whose bound is below tol (the step-by-one climb
+      is the reference), runs no eigensolve, and grows linearly in t_max;
+      t_max = 0 and K = 0 give 2 sites; it needs the plug coupling k0,
+      and it and the bound raise ValueError for a nan or infinite
+      coupling or t_max
+    - the Miller order search is the doubling search from order 0, call
+      for call
     - the Chebyshev evaluator agrees with the spectral one on random
       chains, returns the same bits for a scalar as for the grid it sits
       in, also across the joins of its CHUNK blocks, and holds no more
@@ -34,6 +38,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,6 +139,31 @@ def test_choose_chain_length_strong_plug_is_minimal():
     assert n == 283
     assert truncation_bound(16.0, 1.0, n, 100.0) < 1e-10
     assert truncation_bound(16.0, 1.0, n - 1, 100.0) >= 1e-10
+
+
+def _chain_length_by_steps(k0, k, t_max, tol):
+    """The certified length by a step-by-one climb from the light-cone start: the reference."""
+    n = math.ceil(propagator.LIGHT_CONE_SPEED_FACTOR * k * t_max) + propagator.LIGHT_CONE_BUFFER
+    while truncation_bound(k0, k, n, t_max) >= tol:
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(0.01, 20.0), plug=st.one_of(st.floats(0.0, 4.0), st.floats(4.0, 1000.0)),
+       t_max=st.floats(1e-3, 60.0), log_tol=st.floats(-15.0, -1.0))
+def test_choose_chain_length_is_the_step_by_one_climb(k, plug, t_max, log_tol):
+    # strong plugs (K0/K up to 1000) at long times climb above the light-cone start
+    k0, tol = plug * k, 10.0**log_tol
+    assert choose_chain_length(k, t_max, tol, k0=k0) == _chain_length_by_steps(k0, k, t_max, tol)
+
+
+def test_choose_chain_length_climbs_past_the_start():
+    # K t = 1000: the Dyson tail needs about e K t sites against the start 2 K t + 50
+    start = 2050
+    n = choose_chain_length(1.0, 1000.0, 1e-12, k0=1000.0)
+    assert n > start + 600
+    assert n == _chain_length_by_steps(1000.0, 1.0, 1000.0, 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,6 +463,44 @@ def test_miller_sums_match_scipy_jv(log_x, seed):
     assert np.array_equal(rows, singles)
 
 
+def _series_order_by_doubling(x):
+    """The smallest order whose Bessel tail is below rounding, by doubling and
+    bisecting from order 0: the reference search."""
+    limit = math.log(propagator.BESSEL_TAIL_TOL / 2.0)
+
+    def enough(order):
+        return propagator._log_tail(x / 2.0, 2 * order + 2, 2) < limit
+
+    if enough(0):
+        return 0
+    lo, hi = 0, 1
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_x=st.floats(-6.0, 5.0))
+def test_series_order_is_the_doubling_search(log_x):
+    # the same order from the same _log_tail calls, in the same order
+    x = 10.0**log_x
+    real_log_tail, starts = propagator._log_tail, {}
+    for name, search in (("least", propagator._series_order.__wrapped__),
+                         ("doubling", _series_order_by_doubling)):
+        seen = starts[name] = []
+
+        def log_tail(y, start, step, seen=seen):
+            seen.append(start)
+            return real_log_tail(y, start, step)
+
+        with mock.patch.object(propagator, "_log_tail", log_tail):
+            seen.append(search(x))
+    assert starts["least"] == starts["doubling"]
+
+
 @pytest.mark.parametrize("x", [0.3, 7.0, 99.5, 1024.0, 2048.0, 5000.0])
 def test_miller_sum_jacobi_anger(x):
     # cos x = J0(x) + 2 sum_m (-1)^m J_2m(x): all moments of a 2-site chain with K = 0 are 1.
@@ -468,8 +536,11 @@ def test_certified_length_converges_everywhere():
 
 
 def test_choose_chain_length_rejects_bad_input():
+    assert choose_chain_length(1.0, 0.0, k0=1.0) == 2  # nothing to simulate: the minimum
     with pytest.raises(ValueError):
-        choose_chain_length(1.0, 0.0, k0=1.0)
+        choose_chain_length(1.0, -1.0, k0=1.0)
+    with pytest.raises(ValueError):
+        choose_chain_length(1.0, 1.0, tol=0.0, k0=1.0)
     with pytest.raises(ValueError):
         choose_chain_length(1.0, 1.0, tol=2.0, k0=1.0)
     with pytest.raises(ValueError):

@@ -283,6 +283,13 @@ def test_tail_power_overflow_is_an_overflow_error_for_every_kind_of_t(t):
         evaluate_series(build_series(1, 1, order=20), t)
 
 
+@pytest.mark.parametrize("t", [1e200, np.array([1.0, 1e200])], ids=["float", "1-d"])
+def test_time_square_overflow_is_an_overflow_error(t):
+    # t * t is inf past about 1.3e154; it raised no OverflowError and gave (nan, inf)
+    with pytest.raises(OverflowError, match=r"t\*\*40 overflows"):
+        evaluate_series(build_series(1, 1, order=20), t)
+
+
 def test_numpy_scalar_gives_the_floats_of_a_float_call():
     series = build_series(1, 1, order=20)
     value, err = evaluate_series(series, np.float64(1.0))
