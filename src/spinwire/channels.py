@@ -16,6 +16,12 @@ Everything downstream of alpha0 lives here:
   rebirth detection;
 * a finite-frequency recurrence demo showing why a finite environment
   cannot keep revivals away forever.
+
+The Bloch trace and the witness take alpha0 as an evaluator, whichever
+route computes it: any callable that maps a 1-d float64 array of times
+to alpha0 at each time, each time's bits independent of the other times
+in the call.  ``ChebyshevAlpha``, ``SpectralAlpha`` and
+``functools.partial(alpha_closed, k0, k)`` all qualify.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bisect_root, chunks
-from .propagator import ChainSpec, ChebyshevAlpha
+from .numerics import bisect_root, blockwise, chunks
 from .series import DEFAULT_ORDER, _as_fraction, _check_order, _series_pairs, horner
 
 WITNESS_THRESHOLD = 1.0
@@ -273,7 +278,7 @@ def inflection_point(
 # Magnetized environment
 # ---------------------------------------------------------------------------
 
-def magnetized_bloch_trace(spec: ChainSpec, times) -> np.ndarray:
+def magnetized_bloch_trace(alpha, times):
     """Squared Bloch length of the qubit against a fully magnetized chain.
 
     The initial state (qubit along +x, every chain spin up) lives in the
@@ -286,16 +291,20 @@ def magnetized_bloch_trace(spec: ChainSpec, times) -> np.ndarray:
 
     At every zero of alpha0 the excitation has fully left the qubit and
     the state is again completely polarized (v^2 = 1); the global
-    minimum 3/4 sits at alpha0^2 = 1/2.  Returns v^2 at the given times:
-    a float for a float or 0-d time, else an array of their shape; the
-    caller keeps the times.
+    minimum 3/4 sits at alpha0^2 = 1/2.
+
+    alpha is an alpha0 evaluator (see the module docstring), called once
+    per :func:`spinwire.numerics.blockwise` block; the array it returns is
+    only read.  Returns v^2 at the given times: a float for a float or
+    0-d time, else an array of their shape.
     """
-    v_sq = np.asarray(ChebyshevAlpha(spec)(times))
-    flat = v_sq.reshape(-1)  # a view: alpha0 turns into v^2 in place, a block at a time
-    for block in chunks(flat.size):
-        a_sq = flat[block] * flat[block]
-        flat[block] = a_sq + (1.0 - a_sq) ** 2
-    return float(v_sq) if v_sq.ndim == 0 else v_sq
+
+    def bloch(ts):
+        a = alpha(ts)
+        a_sq = a * a
+        return a_sq + (1.0 - a_sq) ** 2
+
+    return blockwise(bloch, times)
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +328,25 @@ class WitnessTrace:
                 raise ValueError("entangled intervals must be disjoint and sorted")
 
 
-def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace:
+def singlet_witness(alpha_a, alpha_b, times) -> WitnessTrace:
     """Evolve a two-qubit singlet, each qubit against its own chain.
 
     The correlation tensor stays diagonal, diag(-u, -u, -u^2) with
     u = alphaA * alphaB, so the witness (sum of squared entries) is
     W = 2 u^2 + u^4; W > 1 flags entanglement.  W(0) = 3.
 
-    Interval edges found on the grid are refined together by one array
-    bisection.  The grid is the caller's resolution contract: intervals
-    narrower than one grid step can be missed.  The returned trace holds
-    W at each grid time, not the grid itself.  W is built in place in the
-    alpha array, one CHUNK at a time, so working memory is W plus one
-    more grid-sized alpha array for distinct chains and O(CHUNK) besides.
+    alpha_a and alpha_b are alpha0 evaluators (see the module docstring).
+    Equal chains are one evaluator passed twice (alpha_b is alpha_a),
+    which is then called once per time.  Interval edges found on the grid
+    are refined together by one array bisection.  The grid is the
+    caller's resolution contract: intervals narrower than one grid step
+    can be missed.  The returned trace holds W at each grid time, not the
+    grid itself.  W is computed one :func:`spinwire.numerics.blockwise`
+    block at a time, so working memory is W plus O(CHUNK).
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("need a strictly increasing non-negative time grid")
-    alpha_a = ChebyshevAlpha(spec_a)
-    alpha_b = alpha_a if spec_b == spec_a else ChebyshevAlpha(spec_b)
 
     def witness_at(t):
         a = alpha_a(t)
@@ -345,12 +354,7 @@ def singlet_witness(spec_a: ChainSpec, spec_b: ChainSpec, times) -> WitnessTrace
         u_sq = u * u
         return 2.0 * u_sq + u_sq * u_sq
 
-    # witness_at's operations on the grid, in place: u, then 2 u^2 + u^4
-    w = alpha_a(times)
-    w *= w if alpha_b is alpha_a else alpha_b(times)
-    for block in chunks(w.size):
-        u_sq = w[block] * w[block]
-        w[block] = 2.0 * u_sq + u_sq * u_sq
+    w = blockwise(witness_at, times)
     above = w > WITNESS_THRESHOLD  # strict: the criterion is sufficient only
 
     edges = np.flatnonzero(above[1:] != above[:-1])

@@ -2,7 +2,7 @@
 
 Every subcommand validates its full parameter set before computing,
 then formats its CSV in chunks of rows.  Every alpha route, bloch,
-recurrence, the SVG points and the formatters work one
+witness, recurrence, the SVG points and the formatters work one
 ``numerics.CHUNK`` of samples at a time, and a constant column is a
 broadcast view, so working memory is the output columns plus O(CHUNK)
 however large the grid.  With --out the chunks stream to a
@@ -264,7 +264,7 @@ def _run_bloch(params):
     k0, k, tmax = params["k0"], params["k"], params["tmax"]
     n = choose_chain_length(k, tmax, params["tol"], k0=k0)
     times = np.linspace(0.0, tmax, params["steps"])
-    v_sq = magnetized_bloch_trace(ChainSpec(k0, k, n), times)
+    v_sq = magnetized_bloch_trace(ChebyshevAlpha(ChainSpec(k0, k, n)), times)
     plot = (times, v_sq, "t", "v^2", "Bloch length, magnetized chain")
     return _csv("t,v_sq", [times, v_sq], _chain_comment(n, tmax)), None, plot
 
@@ -275,8 +275,10 @@ def _run_witness(params):
         ChainSpec(params[k0], params[k], choose_chain_length(params[k], tmax, tol, k0=params[k0]))
         for k0, k in (("k0a", "ka"), ("k0b", "kb"))
     )
+    alpha_a = ChebyshevAlpha(spec_a)
+    alpha_b = alpha_a if spec_b == spec_a else ChebyshevAlpha(spec_b)
     times = np.linspace(0.0, tmax, params["steps"])
-    trace = singlet_witness(spec_a, spec_b, times)
+    trace = singlet_witness(alpha_a, alpha_b, times)
     sidecar = {
         "death_time": trace.death_time,
         "rebirth_times": list(trace.rebirth_times),

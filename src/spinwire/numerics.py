@@ -39,12 +39,15 @@ def blockwise(fn, t):
     """fn, a map from a 1-d float64 block to values of its length, over t one CHUNK at a time.
 
     A float or 0-d t gives a float; an array gives an array of t's shape.
-    Working memory is the result plus what fn holds for one block.
+    Working memory is the result plus what fn holds for one block.  fn
+    must be pure: the blocks are walked last first.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     values = np.empty(flat.size)
-    for block in chunks(flat.size):
+    # last first: on an ascending grid the first block holds the largest times,
+    # so an evaluator that sizes its state from them (ChebyshevAlpha) sizes it once
+    for block in reversed(list(chunks(flat.size))):
         values[block] = fn(flat[block])
     return float(values[0]) if t.ndim == 0 else values.reshape(t.shape)
 

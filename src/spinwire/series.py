@@ -173,9 +173,9 @@ def evaluate_series(coeffs, t):
 
     t is a float or an array, walked by :func:`spinwire.numerics.blockwise`
     for the values and again for the errors; every element has the bits
-    of a float call, the tail power (t t)^order from libm (numpy's power
-    differs in the last bit on some inputs).  A power past the float
-    range, t t included, raises OverflowError.
+    of a float call, the error term 2 (|c_M| (t t)^M) from libm (numpy's
+    power differs in the last bit on some inputs).  An error term past
+    the float range, t t and the power included, raises OverflowError.
     """
     order = len(coeffs) - 1
     _check_order(order)
@@ -183,14 +183,15 @@ def evaluate_series(coeffs, t):
     tail = abs(floats[-1])
 
     def tail_terms(ts):
-        # t t in Python floats, the IEEE product numpy takes: an inf there, which
-        # Python's pow passes on, is the one overflow that pow does not raise
-        powers = libm(lambda v: (v * v) ** order, ts)
-        if (powers == math.inf).any():
+        # each term in Python floats, with the IEEE products numpy takes: pow raises
+        # OverflowError itself but passes on an inf t t, and the products overflow
+        # to inf silently (or give 0 * inf = NaN); a NaN time keeps its NaN term
+        terms = libm(lambda v: 2.0 * (tail * (v * v) ** order), ts)
+        if not (terms[ts == ts] < math.inf).all():
             raise OverflowError
-        return 2.0 * (tail * powers)
+        return terms
 
-    # errors first: an overflowing tail power raises before Horner warns of the overflow
+    # errors first: an overflowing error term raises before Horner warns of the overflow
     try:
         errors = blockwise(tail_terms, t)
     except OverflowError as exc:

@@ -338,9 +338,9 @@ def test_criterion_09_magnetized_environment(capsys):
 def test_criterion_10_sudden_death_and_rebirth(capsys):
     # strong symmetric damping: one entangled interval, then death for good
     k0, k = 16.0, 256.0
-    spec = ChainSpec(k0, k, choose_chain_length(k, 1.5, 1e-10, k0=k0))
-    strong = singlet_witness(spec, spec, np.linspace(0.0, 1.5, 3001))
-    strong_fine = singlet_witness(spec, spec, np.linspace(0.0, 1.5, 6001))
+    alpha = ChebyshevAlpha(ChainSpec(k0, k, choose_chain_length(k, 1.5, 1e-10, k0=k0)))
+    strong = singlet_witness(alpha, alpha, np.linspace(0.0, 1.5, 3001))
+    strong_fine = singlet_witness(alpha, alpha, np.linspace(0.0, 1.5, 6001))
     one_interval = (
         len(strong.entangled_intervals) == 1
         and strong.entangled_intervals[0][0] == 0.0
@@ -349,9 +349,9 @@ def test_criterion_10_sudden_death_and_rebirth(capsys):
     )
 
     # oscillatory regime: entanglement is reborn
-    spec_osc = ChainSpec(4.0, 1.0, choose_chain_length(1.0, 8.0, 1e-10, k0=4.0))
-    reborn = singlet_witness(spec_osc, spec_osc, np.linspace(0.0, 8.0, 2001))
-    reborn_fine = singlet_witness(spec_osc, spec_osc, np.linspace(0.0, 8.0, 4001))
+    alpha_osc = ChebyshevAlpha(ChainSpec(4.0, 1.0, choose_chain_length(1.0, 8.0, 1e-10, k0=4.0)))
+    reborn = singlet_witness(alpha_osc, alpha_osc, np.linspace(0.0, 8.0, 2001))
+    reborn_fine = singlet_witness(alpha_osc, alpha_osc, np.linspace(0.0, 8.0, 4001))
 
     def stable(a, b):
         if len(a.entangled_intervals) != len(b.entangled_intervals):

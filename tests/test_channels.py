@@ -29,11 +29,16 @@ Claims checked here:
     - the magnetized-chain Bloch length matches a matrix-exponential
       state-vector oracle built here from the dense generator, has the
       bits of the whole-array formula and holds no more than its trace
-      plus one block
+      plus one block; on the closed-form evaluator it matches the
+      certified Chebyshev one to 1e-9 at K0 = sqrt(2) K and K0 = K
     - the singlet witness starts at 3, dies at the quartic-root
       crossing, and is reborn in the oscillatory regime; equal chains
       share one evaluator, called once per time; all edges are bisected
-      together, with the bits of one bisection per edge
+      together, with the bits of one bisection per edge; it holds no
+      more than its trace plus one block, and the spectral evaluators
+      give the Chebyshev ones' intervals to 1e-8
+    - a Chebyshev evaluator walked by the Bloch trace or the witness
+      over many blocks of an ascending grid builds its moments once
     - the recurrence demo never returns to 1 and re-crosses thresholds
       sooner with fewer frequencies; run in CHUNK blocks it has the bits
       of the whole-array formula, sees a crossing on a block join, and
@@ -47,6 +52,7 @@ import time
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -66,6 +72,7 @@ from spinwire import (
     choose_chain_length,
     inflection_point,
     magnetized_bloch_trace,
+    propagator,
     recurrence_demo,
     singlet_witness,
 )
@@ -522,7 +529,7 @@ def single_excitation_bloch_sq(spec: ChainSpec, times) -> np.ndarray:
 
 def test_magnetized_trace_starts_pure():
     spec = ChainSpec(math.sqrt(2.0), 1.0, 40)
-    v_sq = magnetized_bloch_trace(spec, [0.0])
+    v_sq = magnetized_bloch_trace(ChebyshevAlpha(spec), [0.0])
     assert v_sq[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -530,7 +537,7 @@ def test_magnetized_formula_matches_state_vector_oracle():
     k0 = math.sqrt(2.0)
     spec = ChainSpec(k0, 1.0, choose_chain_length(1.0, 10.0, k0=k0))
     times = np.linspace(0.0, 10.0, 61)
-    formula = magnetized_bloch_trace(spec, times)
+    formula = magnetized_bloch_trace(ChebyshevAlpha(spec), times)
     oracle = single_excitation_bloch_sq(spec, times)
     assert np.max(np.abs(formula - oracle)) < 1e-9
 
@@ -547,14 +554,14 @@ def test_magnetized_repolarizes_at_alpha_zeros():
             zeros.append(bisect_root(alpha, grid[i - 1], grid[i], xtol=1e-12))
     assert len(zeros) >= 5
     for t in zeros:
-        v_sq = magnetized_bloch_trace(spec, [t])[0]
+        v_sq = magnetized_bloch_trace(ChebyshevAlpha(spec), [t])[0]
         assert abs(v_sq - 1.0) < 1e-6
 
 
 def test_magnetized_minimum_is_three_quarters():
     # v^2 = a^2 + (1 - a^2)^2 is minimal at a^2 = 1/2
     spec = ChainSpec(1.0, 1.0, 120)
-    values = magnetized_bloch_trace(spec, np.linspace(0.0, 30.0, 3001))
+    values = magnetized_bloch_trace(ChebyshevAlpha(spec), np.linspace(0.0, 30.0, 3001))
     assert min(values) >= 0.75 - 1e-9
     a_sq = 0.5
     assert a_sq + (1 - a_sq) ** 2 == 0.75
@@ -564,7 +571,7 @@ def test_magnetized_memory_is_its_trace_plus_a_block(traced_peak):
     spec = ChainSpec(math.sqrt(2.0), 1.0, 60)
     times = np.linspace(0.0, 20.0, 100001)
     alpha = ChebyshevAlpha(spec)(times)  # warms the order searches' cache too
-    v_sq, peak = traced_peak(lambda: magnetized_bloch_trace(spec, times))
+    v_sq, peak = traced_peak(lambda: magnetized_bloch_trace(ChebyshevAlpha(spec), times))
     assert peak < v_sq.nbytes + 600_000
     a_sq = alpha * alpha
     assert np.array_equal(v_sq, a_sq + (1.0 - a_sq) ** 2)
@@ -573,17 +580,46 @@ def test_magnetized_memory_is_its_trace_plus_a_block(traced_peak):
 @pytest.mark.parametrize("t", [1.7, np.float64(1.7), np.array(1.7)], ids=["float", "float64", "0-d"])
 def test_magnetized_float_time_gives_the_float_of_the_grid(t):
     spec = ChainSpec(math.sqrt(2.0), 1.0, 60)
-    v_sq = magnetized_bloch_trace(spec, t)
+    v_sq = magnetized_bloch_trace(ChebyshevAlpha(spec), t)
     assert type(v_sq) is float
-    grid = magnetized_bloch_trace(spec, np.array([0.3, 1.7, 2.9]))
+    grid = magnetized_bloch_trace(ChebyshevAlpha(spec), np.array([0.3, 1.7, 2.9]))
     assert v_sq.hex() == float(grid[1]).hex()
+
+
+@pytest.mark.parametrize("k0", [math.sqrt(2.0), 1.0], ids=["sqrt2", "equal"])
+def test_magnetized_closed_form_evaluator_matches_the_chebyshev_one(k0):
+    times = np.linspace(0.0, 20.0, 2001)
+    spec = ChainSpec(k0, 1.0, choose_chain_length(1.0, 20.0, k0=k0))
+    closed = magnetized_bloch_trace(partial(alpha_closed, k0, 1.0), times)
+    chebyshev = magnetized_bloch_trace(ChebyshevAlpha(spec), times)
+    assert np.max(np.abs(closed - chebyshev)) < 1e-9
+
+
+@pytest.mark.parametrize("walk", ["bloch", "witness"])
+def test_chebyshev_moments_are_built_once_over_an_ascending_grid(monkeypatch, walk):
+    # the largest times come first, so the first block sizes the moments for all
+    builds = []
+    real = propagator._signed_moments
+
+    def counting(*args):
+        builds.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(propagator, "_signed_moments", counting)
+    alpha = ChebyshevAlpha(ChainSpec(4.0, 1.0, choose_chain_length(1.0, 40.0, k0=4.0)))
+    times = np.linspace(0.0, 40.0, 10 * CHUNK + 1)
+    if walk == "bloch":
+        magnetized_bloch_trace(alpha, times)
+    else:
+        singlet_witness(alpha, alpha, times)
+    assert len(builds) == 1, builds
 
 
 # ----------------------------------------------------------------- witness --
 
 def test_witness_starts_at_three():
-    spec = ChainSpec(1.0, 1.0, 60)
-    trace = singlet_witness(spec, spec, np.linspace(0.0, 2.0, 101))
+    alpha = ChebyshevAlpha(ChainSpec(1.0, 1.0, 60))
+    trace = singlet_witness(alpha, alpha, np.linspace(0.0, 2.0, 101))
     assert trace.witness[0] == pytest.approx(3.0, abs=1e-10)
     assert trace.entangled_intervals[0][0] == 0.0
 
@@ -592,15 +628,16 @@ def test_witness_death_crossing_matches_quartic_root():
     # W = 2 u^2 + u^4 crosses 1 at u = sqrt(sqrt(2) - 1) = 0.6435942529;
     # for identical chains u = alpha0^2
     spec = ChainSpec(1.0, 1.0, 60)
-    trace = singlet_witness(spec, spec, np.linspace(0.0, 2.0, 201))
+    chebyshev = ChebyshevAlpha(spec)
+    trace = singlet_witness(chebyshev, chebyshev, np.linspace(0.0, 2.0, 201))
     death = trace.entangled_intervals[0][1]
     alpha = SpectralAlpha(spec)
     assert alpha(death) ** 2 == pytest.approx(math.sqrt(math.sqrt(2.0) - 1.0), abs=1e-7)
 
 
 def test_witness_rebirth_in_oscillatory_regime():
-    spec = ChainSpec(4.0, 1.0, choose_chain_length(1.0, 8.0, k0=4.0))
-    trace = singlet_witness(spec, spec, np.linspace(0.0, 8.0, 2001))
+    alpha = ChebyshevAlpha(ChainSpec(4.0, 1.0, choose_chain_length(1.0, 8.0, k0=4.0)))
+    trace = singlet_witness(alpha, alpha, np.linspace(0.0, 8.0, 2001))
     assert trace.death_time is not None
     assert len(trace.rebirth_times) >= 2
     assert trace.rebirth_times[0] == pytest.approx(0.6602748, abs=1e-4)
@@ -609,9 +646,9 @@ def test_witness_rebirth_in_oscillatory_regime():
 
 
 def test_witness_crossings_stable_under_grid_refinement():
-    spec = ChainSpec(4.0, 1.0, choose_chain_length(1.0, 8.0, k0=4.0))
-    coarse = singlet_witness(spec, spec, np.linspace(0.0, 8.0, 2001))
-    fine = singlet_witness(spec, spec, np.linspace(0.0, 8.0, 4001))
+    alpha = ChebyshevAlpha(ChainSpec(4.0, 1.0, choose_chain_length(1.0, 8.0, k0=4.0)))
+    coarse = singlet_witness(alpha, alpha, np.linspace(0.0, 8.0, 2001))
+    fine = singlet_witness(alpha, alpha, np.linspace(0.0, 8.0, 4001))
     assert len(coarse.entangled_intervals) == len(fine.entangled_intervals)
     for (a0, b0), (a1, b1) in zip(coarse.entangled_intervals, fine.entangled_intervals):
         assert abs(a0 - a1) < 1e-6
@@ -619,9 +656,9 @@ def test_witness_crossings_stable_under_grid_refinement():
 
 
 def test_witness_bounded_by_three():
-    spec_a = ChainSpec(2.0, 1.0, 80)
-    spec_b = ChainSpec(1.0, 1.0, 80)
-    trace = singlet_witness(spec_a, spec_b, np.linspace(0.0, 12.0, 1501))
+    alpha_a = ChebyshevAlpha(ChainSpec(2.0, 1.0, 80))
+    alpha_b = ChebyshevAlpha(ChainSpec(1.0, 1.0, 80))
+    trace = singlet_witness(alpha_a, alpha_b, np.linspace(0.0, 12.0, 1501))
     assert np.max(trace.witness) <= 3.0 + 1e-12
     assert np.min(trace.witness) >= 0.0
 
@@ -644,7 +681,9 @@ def test_witness_calls_each_evaluator_once_per_time(monkeypatch, k0b, evaluators
     monkeypatch.setattr(channels, "bisect_root", counting_bisect)
     n = choose_chain_length(1.0, 8.0, k0=4.0)
     times = np.linspace(0.0, 8.0, 2001)
-    trace = singlet_witness(ChainSpec(4.0, 1.0, n), ChainSpec(k0b, 1.0, n), times)
+    alpha_a = ChebyshevAlpha(ChainSpec(4.0, 1.0, n))
+    alpha_b = alpha_a if k0b == 4.0 else ChebyshevAlpha(ChainSpec(k0b, 1.0, n))
+    trace = singlet_witness(alpha_a, alpha_b, times)
     assert trace.death_time is not None
     assert len(trace.rebirth_times) >= 2  # several edges
     # one grid call, then one per TREE_DEPTH bisection steps, however many edges there are
@@ -655,18 +694,40 @@ def test_witness_calls_each_evaluator_once_per_time(monkeypatch, k0b, evaluators
 
 
 @pytest.mark.parametrize("k0b", [4.0, 3.0], ids=["equal", "distinct"])
-def test_witness_memory_is_its_trace_plus_an_alpha_array(traced_peak, k0b):
-    # W is built in place in alphaA's array; distinct chains add alphaB's
+def test_witness_memory_is_its_trace_plus_a_block(traced_peak, k0b):
+    # W is built a block at a time: distinct chains add no grid-sized alphaB array
     n = choose_chain_length(1.0, 40.0, k0=4.0)
     spec_a, spec_b = ChainSpec(4.0, 1.0, n), ChainSpec(k0b, 1.0, n)
     times = np.linspace(0.0, 40.0, 200001)
     u = ChebyshevAlpha(spec_a)(times) * ChebyshevAlpha(spec_b)(times)  # warms the order cache
     u_sq = u * u
     expected = 2.0 * u_sq + u_sq * u_sq
-    trace, peak = traced_peak(lambda: singlet_witness(spec_a, spec_b, times))
+
+    def run():
+        alpha_a = ChebyshevAlpha(spec_a)
+        alpha_b = alpha_a if spec_b == spec_a else ChebyshevAlpha(spec_b)
+        return singlet_witness(alpha_a, alpha_b, times)
+
+    trace, peak = traced_peak(run)
     assert trace.witness.tobytes() == expected.tobytes()
-    arrays = 1 if k0b == 4.0 else 2
-    assert peak < arrays * times.nbytes + 600_000
+    assert peak < times.nbytes + 1_000_000
+
+
+@pytest.mark.parametrize("chains", [((4.0, 1.0), (4.0, 1.0)), ((2.0, 1.0), (1.0, 1.0))],
+                         ids=["equal", "distinct"])
+def test_witness_spectral_evaluators_match_the_chebyshev_ones(chains):
+    tmax = 8.0
+    specs = [ChainSpec(k0, k, choose_chain_length(k, tmax, k0=k0)) for k0, k in chains]
+    times = np.linspace(0.0, tmax, 2001)
+    traces = []
+    for route in (ChebyshevAlpha, SpectralAlpha):
+        alpha_a = route(specs[0])
+        alpha_b = alpha_a if specs[1] == specs[0] else route(specs[1])
+        traces.append(singlet_witness(alpha_a, alpha_b, times))
+    chebyshev, spectral = traces
+    assert len(chebyshev.entangled_intervals) == len(spectral.entangled_intervals) >= 1
+    for pair, other in zip(chebyshev.entangled_intervals, spectral.entangled_intervals):
+        assert np.max(np.abs(np.subtract(pair, other))) < 1e-8
 
 
 def _witness_edges_one_by_one(spec_a, spec_b, times):
@@ -707,7 +768,9 @@ def test_witness_edges_match_one_by_one_bisection(k0a, ka, k0b, kb, same, tmax, 
     spec_a = ChainSpec(k0a, ka, choose_chain_length(ka, tmax, k0=k0a))
     spec_b = spec_a if same else ChainSpec(k0b, kb, choose_chain_length(kb, tmax, k0=k0b))
     times = np.linspace(0.0, tmax, steps)
-    trace = singlet_witness(spec_a, spec_b, times)
+    alpha_a = ChebyshevAlpha(spec_a)
+    alpha_b = alpha_a if same else ChebyshevAlpha(spec_b)
+    trace = singlet_witness(alpha_a, alpha_b, times)
     intervals, death_time, rebirth_times = _witness_edges_one_by_one(spec_a, spec_b, times)
 
     def bits(values):
@@ -721,11 +784,11 @@ def test_witness_edges_match_one_by_one_bisection(k0a, ka, k0b, kb, same, tmax, 
 
 
 def test_witness_rejects_bad_grid():
-    spec = ChainSpec(1.0, 1.0, 40)
+    alpha = ChebyshevAlpha(ChainSpec(1.0, 1.0, 40))
     with pytest.raises(ValueError):
-        singlet_witness(spec, spec, [0.0])
+        singlet_witness(alpha, alpha, [0.0])
     with pytest.raises(ValueError):
-        singlet_witness(spec, spec, [0.0, 0.0, 1.0])
+        singlet_witness(alpha, alpha, [0.0, 0.0, 1.0])
 
 
 # -------------------------------------------------------------- recurrence --

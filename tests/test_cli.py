@@ -13,8 +13,9 @@ Claims checked here:
     - identical invocations produce byte-identical files
     - config files merge under flags; --help and --version return 0,
       junk arguments return 2 (no SystemExit escapes main) and
-      computational dead ends return 1, a NaN in any column and a failed
-      allocation included, with nothing on stderr but the error line
+      computational dead ends return 1, a NaN in any column, a series
+      error term past the float range and a failed allocation included,
+      with nothing on stderr but the error line
     - every bound declared in the parameter table is enforced, as a flag
       and as a config key, before any output file is written; any value
       outside a bound, or any token that is no finite number, exits 2
@@ -377,10 +378,13 @@ def test_nan_in_a_column_exits_1_and_writes_nothing(tmp_path, capsys, argv, colu
 @pytest.mark.parametrize("to_file", [False, True])
 @pytest.mark.filterwarnings("error")
 def test_series_overflow_exits_1_and_writes_nothing(tmp_path, capsys, to_file):
-    # far outside the series window t * t overflows before the tail power does
+    # far outside the series window t * t overflows before the tail power does, also
+    # where the last coefficient is 0 (K0 = 0); at K0 = K = 100, t = 1e7 the power
+    # (t t)^20 = 1e280 is finite but 2 |c_20| (t t)^20 is not, which printed alpha0 = inf
     out = tmp_path / "series.csv"
-    for tmax in ("1e200", "1e300"):
-        argv = ["alpha", "--method", "series", "--k0", "1", "--k", "1", "--tmax", tmax,
+    for k0, k, tmax in (("1", "1", "1e200"), ("1", "1", "1e300"), ("0", "1", "1e200"),
+                        ("100", "100", "1e7")):
+        argv = ["alpha", "--method", "series", "--k0", k0, "--k", k, "--tmax", tmax,
                 "--steps", "3"]
         code = main(argv + (["--out", str(out)] if to_file else []))
         captured = capsys.readouterr()

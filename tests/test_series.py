@@ -22,8 +22,9 @@ Claims checked here:
     - an array of times gives, value and error alike, the bits of one
       scalar call per time, and a numpy scalar the floats of a float call;
       a tail power past the float range is an OverflowError for a float,
-      numpy scalar, 0-d or 1-d t; values and errors hold one block of
-      working memory besides themselves
+      numpy scalar, 0-d or 1-d t, and so is an error term whose last
+      coefficient takes a finite power past it; values and errors hold
+      one block of working memory besides themselves
 """
 
 from __future__ import annotations
@@ -281,6 +282,17 @@ def test_array_evaluation_matches_scalar_calls_bitwise(order):
 def test_tail_power_overflow_is_an_overflow_error_for_every_kind_of_t(t):
     with pytest.raises(OverflowError, match=r"t\*\*40 overflows"):
         evaluate_series(build_series(1, 1, order=20), t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e7, np.array([1.0, 1e7])], ids=["float", "1-d"])
+def test_error_term_overflow_is_an_overflow_error(t):
+    # (t t)^20 = 1e280 is finite, but the last coefficient at K0 = K = 1e4 takes
+    # 2 |c_20| (t t)^20 past the float range; numpy's product warned instead
+    series = build_series(10**4, 10**4, order=20)
+    assert math.isfinite(float(series[-1])) and math.isfinite(1e14**20)
+    with pytest.raises(OverflowError, match=r"t\*\*40 overflows"):
+        evaluate_series(series, t)
 
 
 @pytest.mark.parametrize("t", [1e200, np.array([1.0, 1e200])], ids=["float", "1-d"])
