@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bisect_root, blockwise, chunks
+from .numerics import _log_tail, bisect_root, blockwise, chunks
 from .series import DEFAULT_ORDER, _as_fraction, _check_order, _series_pairs, horner
 
 WITNESS_THRESHOLD = 1.0
@@ -93,9 +93,13 @@ def chi_metric(
     to a float.  A chi past the float range raises OverflowError.
 
     For large ratios the truncated series stops converging inside the
-    unit interval and truncation, not physics, dominates the metric; a
-    warning is issued when the series error estimate at x = 1 exceeds
-    quad_tol, which is only that threshold: chi itself is exact.
+    unit interval and truncation, not physics, dominates the metric.  The
+    decay is alpha(x) = sum_j c_j x^(2j) with |c_j| <= a^(2j) / (2j)! for
+    a = max(r + r^2, 2 r^2) >= ||h|| (ratio r), so on [0, 1] it is within
+    delta = sum_{j>M} a^(2j) / (2j)! of P, and the chi of alpha within
+    2 sqrt(chi) delta + delta^2 of this one; a warning is issued when that
+    bound exceeds quad_tol, which is only that threshold: chi itself is
+    exact.
     """
     r = _as_fraction(ratio, "ratio")
     if r <= 0:
@@ -108,15 +112,13 @@ def chi_metric(
     if chi < 0:
         raise ValueError(f"chi at ratio {ratio} is negative: {chi!r} (order {order})")
 
-    # the series error estimate at x = 1, twice the last coefficient
-    numerator, denominator = pairs[-1]
-    try:
-        tail = 2.0 * abs(numerator / denominator)
-    except OverflowError:
-        tail = math.inf
-    if tail > quad_tol:
+    x = float(r)
+    # past e^700 delta^2 is inf, not an OverflowError
+    delta = math.exp(min(_log_tail(max(x + x * x, 2.0 * x * x), 2 * order + 2, 2), 700.0))
+    error = 2.0 * math.sqrt(chi) * delta + delta * delta
+    if error > quad_tol:
         warnings.warn(
-            f"series truncation error {tail:.3g} at x=1 exceeds quad_tol "
+            f"series truncation error {error:.3g} of chi exceeds quad_tol "
             f"{quad_tol:.3g} at ratio {ratio}; chi is truncation-dominated",
             RuntimeWarning,
             stacklevel=2,

@@ -201,9 +201,21 @@ def _csv(header: str, columns, comments=()):
         yield format_rows(np.column_stack([column[block] for column in columns]))
 
 
-def _chain_comment(n_sites: int, tmax: float) -> list[str]:
-    """The chosen chain length, unless the run stays at t=0, where its 2 sites certify nothing."""
-    return [f"# n_sites={n_sites}"] if tmax > 0 else []
+def _chain_alpha(k0: float, k: float, params):
+    """(alpha0 evaluator, comment lines) for the chain of couplings k0, k.
+
+    The chain has --n-sites sites when given, and no comment; otherwise
+    the length choose_chain_length certifies for --tmax and --tol, echoed
+    as "# n_sites=" unless the run stays at t=0, where its 2 sites certify
+    nothing.  choose_chain_length is looked up on this module at each
+    call, so perfbench/tracer.py's patch of it is seen.
+    """
+    n_sites, tmax = params.get("n_sites"), params["tmax"]
+    comments = []
+    if n_sites is None:
+        n_sites = choose_chain_length(k, tmax, params["tol"], k0=k0)
+        comments = [f"# n_sites={n_sites}"] if tmax > 0 else []
+    return ChebyshevAlpha(ChainSpec(k0, k, n_sites)), comments
 
 
 def _run_walks(params):
@@ -235,13 +247,11 @@ def _run_alpha(params):
         # int / int is correctly rounded: the bits of float(Fraction(n, d))
         values, errors = evaluate_series([n / d for n, d in pairs], times)
     elif method == MATRIX:
-        n_sites = params["n_sites"]
-        if n_sites is None:
-            n_sites = choose_chain_length(k, tmax, params["tol"], k0=k0)
-            comments = _chain_comment(n_sites, tmax)
-        values = ChebyshevAlpha(ChainSpec(k0, k, n_sites))(times)
+        alpha, comments = _chain_alpha(k0, k, params)
+        values = alpha(times)
         # |alpha| <= 1 on any chain, so 2 is the trivial bound
-        errors = np.broadcast_to(min(truncation_bound(k0, k, n_sites, tmax), 2.0), steps)
+        bound = truncation_bound(k0, k, alpha.spec.n_sites, tmax)
+        errors = np.broadcast_to(min(bound, 2.0), steps)
     else:
         values = alpha_closed(k0, k, times)
         errors = np.broadcast_to(0.0, steps)
@@ -261,23 +271,18 @@ def _run_chi_scan(params):
 
 
 def _run_bloch(params):
-    k0, k, tmax = params["k0"], params["k"], params["tmax"]
-    n = choose_chain_length(k, tmax, params["tol"], k0=k0)
-    times = np.linspace(0.0, tmax, params["steps"])
-    v_sq = magnetized_bloch_trace(ChebyshevAlpha(ChainSpec(k0, k, n)), times)
+    alpha, comments = _chain_alpha(params["k0"], params["k"], params)
+    times = np.linspace(0.0, params["tmax"], params["steps"])
+    v_sq = magnetized_bloch_trace(alpha, times)
     plot = (times, v_sq, "t", "v^2", "Bloch length, magnetized chain")
-    return _csv("t,v_sq", [times, v_sq], _chain_comment(n, tmax)), None, plot
+    return _csv("t,v_sq", [times, v_sq], comments), None, plot
 
 
 def _run_witness(params):
-    tmax, tol = params["tmax"], params["tol"]
-    spec_a, spec_b = (
-        ChainSpec(params[k0], params[k], choose_chain_length(params[k], tmax, tol, k0=params[k0]))
-        for k0, k in (("k0a", "ka"), ("k0b", "kb"))
-    )
-    alpha_a = ChebyshevAlpha(spec_a)
-    alpha_b = alpha_a if spec_b == spec_a else ChebyshevAlpha(spec_b)
-    times = np.linspace(0.0, tmax, params["steps"])
+    chain_a, chain_b = (params["k0a"], params["ka"]), (params["k0b"], params["kb"])
+    alpha_a = _chain_alpha(*chain_a, params)[0]
+    alpha_b = alpha_a if chain_b == chain_a else _chain_alpha(*chain_b, params)[0]
+    times = np.linspace(0.0, params["tmax"], params["steps"])
     trace = singlet_witness(alpha_a, alpha_b, times)
     sidecar = {
         "death_time": trace.death_time,

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .numerics import blockwise, libm
+from .numerics import blockwise, libm, two_sum
 
 SERIES_ASYMPTOTIC_SWITCH = 12.0
 SERIES_TERMS = 32  # terms 0..31: all that any |x| < 12 keeps
@@ -45,13 +45,6 @@ MIN_PEAKS_FOR_FIT = 4
 # ---------------------------------------------------------------------------
 # Bessel functions J0, J1
 # ---------------------------------------------------------------------------
-
-def _two_sum(a: np.ndarray, b: np.ndarray):
-    # s = fl(a + b) and the exact error e = a + b - s (Knuth's TwoSum).
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
 
 def fsum_columns(terms: np.ndarray) -> np.ndarray:
     """math.fsum of each column of a 2-d float table, bit for bit.
@@ -66,10 +59,10 @@ def fsum_columns(terms: np.ndarray) -> np.ndarray:
     """
     s, c, spread = terms[0].copy(), np.zeros_like(terms[0]), np.zeros_like(terms[0])
     for row in terms[1:]:
-        s, e = _two_sum(s, row)
+        s, e = two_sum(s, row)
         c += e
         spread += np.abs(e)
-    r, d = _two_sum(s, c)
+    r, d = two_sum(s, c)
     size = np.abs(r)
     bound = np.abs(d) + len(terms) * 2.0**-52 * spread
     for j in np.flatnonzero(~(bound < 0.5 * (size - np.nextafter(size, 0.0)))):

@@ -46,13 +46,14 @@ import functools
 
 import numpy as np
 
+from .numerics import split
+
 FORMAT = "%.17g"
 DIGITS = 17
 TIE_MARGIN = 2.0 ** -30
 LOW, HIGH = 1e-250, 1e250
 # 10**k for every k = 16 - e that a value in [LOW, HIGH] can need, e corrected by one step
 K_MIN, K_MAX = -240, 270
-SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
 
 # A value is laid out in four words, each read low byte first:
 #   0: NUL, sign, the "0.000" before a fixed-notation value below 1, digit d0
@@ -83,16 +84,9 @@ def _powers_of_ten() -> np.ndarray:
             hi = 1 / den  # int true division rounds correctly
             num, two = hi.as_integer_ratio()
             lo = (two - num * den) / (den * two)
-        hi_hi, hi_lo = _split(hi)
+        hi_hi, hi_lo = split(hi)
         table[:, i] = hi, hi_hi, hi_lo, lo
     return table
-
-
-def _split(a):
-    """(a_hi, a_lo) with a_hi + a_lo == a and 26 significant bits in a_hi."""
-    c = SPLIT * a
-    a_hi = c - (c - a)
-    return a_hi, a - a_hi
 
 
 @functools.cache
@@ -138,7 +132,7 @@ def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(whole, frac): the integer part and the fraction of ax * 10**(16 - e)."""
     hi, hi_hi, hi_lo, lo = np.take(_powers_of_ten(), 16 - K_MIN - e, axis=1)
     p = ax * hi
-    ax_hi, ax_lo = _split(ax)
+    ax_hi, ax_lo = split(ax)
     # t = (((ax_hi * hi_hi - p) + ax_hi * hi_lo + ax_lo * hi_hi) + ax_lo * hi_lo) + ax * lo,
     # summed in that order in place
     t = ax_hi * hi_hi
@@ -265,7 +259,7 @@ def format_points(points: np.ndarray) -> str:
     fast = ~np.signbit(x) & (x < POINTS_HIGH)  # False for nan
     y = np.where(fast, x, 0.0)
     hi = y * 100.0
-    y_hi, y_lo = _split(y)
+    y_hi, y_lo = split(y)
     lo = (y_hi * 100.0 - hi) + y_lo * 100.0  # hi + lo == 100 y exactly (Dekker)
     cents = np.rint(hi)
     # lo, at most half an ulp of hi, can only tip a hi that lies half way

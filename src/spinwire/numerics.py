@@ -1,11 +1,14 @@
 """Shared numerical utilities: the one walk of a float-or-array grid in
-bounded blocks (:func:`blockwise`), elementwise libm calls, the one
-search for the least integer with a property (:func:`least`), root
-refinement (one bisection for many brackets, with the midpoints of
-several steps in each evaluation), and adaptive Simpson quadrature."""
+bounded blocks (:func:`blockwise`), elementwise libm calls, the
+error-free transforms (:func:`two_sum`, :func:`split`), the one search
+for the least integer with a property (:func:`least`), the one bound on
+the tail of an exponential series (:func:`_log_tail`), root refinement
+(one bisection for many brackets, with the midpoints of several steps in
+each evaluation), and adaptive Simpson quadrature."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -28,6 +31,10 @@ TREE_DEPTH = 4
 # of its root (a witness edge near t = 1e8 at xtol 1e-9) stops shrinking,
 # and only this count ends it.
 MAX_ITER = 200
+
+# Terms _log_tail sums before a geometric series covers the rest.
+TAIL_TERMS = 64
+SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for float64
 
 
 def chunks(n: int):
@@ -62,6 +69,20 @@ def libm(fn, x):
     return blockwise(lambda xs: list(map(fn, xs.tolist())), x)
 
 
+def two_sum(a, b):
+    """(s, e): s = fl(a + b) and the exact error e = a + b - s (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def split(a):
+    """(a_hi, a_lo) with a_hi + a_lo == a and 26 significant bits in a_hi (Dekker)."""
+    c = SPLIT * a
+    a_hi = c - (c - a)
+    return a_hi, a - a_hi
+
+
 def least(holds: Callable[[int], bool], start: int) -> int:
     """The least integer n >= start with holds(n), for a holds that stays true once true.
 
@@ -76,6 +97,26 @@ def least(holds: Callable[[int], bool], start: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)
     return hi
+
+
+def _log_tail(y: float, start: int, step: int) -> float:
+    """Upper bound on log sum_{j>=0} y^m / m! over m = start + step j, y >= 0.
+
+    Chain lengths, Bessel orders and chi's truncation warning all test it.
+    """
+    if y == 0.0:
+        return -math.inf
+    if start <= y:
+        return y  # the terms still grow here; the whole series sums to e^y
+    log_y = math.log(y)
+    ms = range(start, start + step * (TAIL_TERMS + 1), step)
+    logs = [m * log_y - math.lgamma(m + 1) for m in ms]
+    # The terms fall from logs[0] on, and past the last one the ratio of
+    # neighbours stays below rho < 1, so a geometric series covers the rest.
+    rho = (y / (ms[-1] + 1.0)) ** step
+    head = logs[0]
+    scaled = sum(math.exp(v - head) for v in logs[:-1]) + math.exp(logs[-1] - head) / (1 - rho)
+    return min(y, head + math.log(scaled))
 
 
 # No caller in the package since chi is exact; stays importable: perfbench/tracer.py reads it by name.

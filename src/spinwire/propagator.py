@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import blockwise, least
+from .numerics import _log_tail, blockwise, least
 
 WEIGHT_SUM_TOL = 1e-12
 MOMENT_TOL = 1e-12
@@ -49,7 +49,6 @@ RESCALE_BY = 2.0**-600
 DEFAULT_TRUNCATION_TOL = 1e-10
 LIGHT_CONE_SPEED_FACTOR = 2.0
 LIGHT_CONE_BUFFER = 50
-TAIL_TERMS = 64
 
 
 class EigensolverError(RuntimeError):
@@ -96,13 +95,13 @@ class ChebyshevAlpha:
     Its only state besides the chain is ``signed_moments``, the float64
     array (-1)^m mu_2m for m = 0, 1, .., which starts empty.  A call whose
     largest time needs an order past it replaces it whole by
-    :func:`_signed_moments` at the larger of that order + 1 and twice its
-    size, and evaluates from the array it built; any other call reads the
-    kept array.  A first call so computes exactly the moments it needs,
-    and callers whose times keep growing repeat at most as much work
-    again.  The moments are a pure function of the chain, so a shared
-    evaluator is safe across threads: a thread that replaces the array
-    can at worst drop moments another thread computed, never change one.
+    :func:`_signed_moments` at exactly that order + 1, and evaluates from
+    the array it built; any other call reads the kept array.  The grids
+    of the package run their largest times first, so each evaluator
+    builds its moments once.  The moments are a pure function of the
+    chain, so a shared evaluator is safe across threads: a thread that
+    replaces the array can at worst drop moments another thread computed,
+    never change one.
 
     For x = a|t| the series stops at the smallest order M whose dropped
     terms, bounded by |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4), stay below
@@ -117,9 +116,8 @@ class ChebyshevAlpha:
     The times run through :func:`spinwire.numerics.blockwise`, each block
     sorted and summed on its own, so working memory is the returned array plus
     O(CHUNK), plus the kept moments: about 0.7 a max|t| orders of them at
-    8 B each, at most twice that after a growth, and O(min(N, M)) while
-    they are computed.  The moments grow with a t whatever the chain
-    length is.
+    8 B each, and O(min(N, M)) while they are computed.  The moments grow
+    with a t whatever the chain length is.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -136,7 +134,7 @@ class ChebyshevAlpha:
         order = _series_order(float(_order_bucket(x_max))) if x_max > 0 else 0
         moments = self.signed_moments
         if order and order >= moments.size:
-            moments = _signed_moments(self.spec, self.a, max(order + 1, 2 * moments.size))
+            moments = _signed_moments(self.spec, self.a, order + 1)
             self.signed_moments = moments
 
         def block(ts):
@@ -360,23 +358,6 @@ def truncation_bound(k0: float, k: float, n_sites: int, t_max: float) -> float:
     dyson = math.log(2.0) + _log_tail(2.0 * k * t_max, 2 * n_sites - 2, 1)
     log_bound = min(chebyshev, dyson)
     return math.exp(log_bound) if log_bound < 700.0 else math.inf
-
-
-def _log_tail(y: float, start: int, step: int) -> float:
-    """Upper bound on log sum_{j>=0} y^m / m! over m = start + step j."""
-    if y == 0.0:
-        return -math.inf
-    if start <= y:
-        return y  # the terms still grow here; the whole series sums to e^y
-    log_y = math.log(y)
-    ms = range(start, start + step * (TAIL_TERMS + 1), step)
-    logs = [m * log_y - math.lgamma(m + 1) for m in ms]
-    # The terms fall from logs[0] on, and past the last one the ratio of
-    # neighbours stays below rho < 1, so a geometric series covers the rest.
-    rho = (y / (ms[-1] + 1.0)) ** step
-    head = logs[0]
-    scaled = sum(math.exp(v - head) for v in logs[:-1]) + math.exp(logs[-1] - head) / (1 - rho)
-    return min(y, head + math.log(scaled))
 
 
 def truncation_gap(spec: ChainSpec, t_max: float) -> float:

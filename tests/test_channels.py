@@ -160,8 +160,9 @@ def test_chi_warns_when_truncation_dominates():
 
 
 def test_chi_warns_when_the_last_coefficient_passes_float_range(monkeypatch):
-    # at ratio 20 the order-300 series ends in coefficients past 1e308: the
-    # warning reads them as an infinite tail instead of failing to convert them
+    # at ratio 20 the order-300 series ends in coefficients past 1e308 and the
+    # bound on its tail passes e^700: the warning reports an infinite error
+    # instead of failing to convert either
     monkeypatch.setattr(channels, "_chi_closed_form", lambda coeffs: 1e-3)
     with pytest.warns(RuntimeWarning, match="truncation error inf"):
         assert chi_metric(20.0, order=300) == 1e-3

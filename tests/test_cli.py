@@ -7,6 +7,10 @@ Claims checked here:
       counts per block it yields
     - CSV schemas and the pinned single-row alpha output are stable
     - a chain length is echoed only when one was chosen
+    - one certification serves every subcommand: alpha --method matrix
+      and bloch echo the same length for the same chain, alpha's error
+      column is the truncation bound at it, and witness builds moments
+      once for equal couplings and twice for distinct ones
     - the closed route gives the matrix route's 1 for a decoupled qubit
     - the series route, which floats unreduced coefficient pairs, prints
       the bits of evaluate_series on build_series' reduced Fractions
@@ -60,7 +64,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinwire
-from spinwire import build_series, channels, cli, evaluate_series, svg_plot
+from spinwire import (build_series, channels, choose_chain_length, cli, evaluate_series,
+                      propagator, svg_plot, truncation_bound)
 from spinwire.cli import (COMMANDS, FLOAT_FORMAT, GENERATED_BY, build_parser, floats, main,
                           resolve_params)
 from spinwire.numerics import CHUNK
@@ -455,6 +460,33 @@ def test_matrix_error_column_with_chosen_length(capsys):
         "--n-sites", "2",
     )
     assert _error_column(out) == {0.0}
+
+
+@pytest.mark.parametrize("k0, k, tmax", [("1", "1", "10"), ("4", "0.5", "30"), ("300", "1", "10")])
+def test_one_certification_serves_every_subcommand(capsys, k0, k, tmax):
+    chain = ["--k0", k0, "--k", k, "--tmax", tmax, "--steps", "11"]
+    alpha = run_cli(capsys, "alpha", "--method", "matrix", *chain).splitlines()
+    bloch = run_cli(capsys, "bloch", *chain).splitlines()
+    assert alpha[1] == bloch[1]
+    n_sites = int(re.fullmatch(r"# n_sites=(\d+)", alpha[1]).group(1))
+    assert n_sites == choose_chain_length(float(k), float(tmax), k0=float(k0))
+    bound = truncation_bound(float(k0), float(k), n_sites, float(tmax))
+    assert {float(row.split(",")[3]) for row in alpha[3:]} == {bound}
+
+
+@pytest.mark.parametrize("chain_b, builds", [(("4", "1"), 1), (("1", "1"), 2)])
+def test_witness_builds_moments_once_per_distinct_chain(monkeypatch, capsys, chain_b, builds):
+    counts = []
+    real = propagator._signed_moments
+
+    def counting(*args):
+        counts.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(propagator, "_signed_moments", counting)
+    run_cli(capsys, "witness", "--k0a", "4", "--ka", "1", "--k0b", chain_b[0],
+            "--kb", chain_b[1], "--tmax", "8", "--steps", "2000")
+    assert len(counts) == builds, counts
 
 
 def _edges(interval, integer):

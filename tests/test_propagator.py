@@ -27,8 +27,9 @@ Claims checked here:
       moments once per chain, kept at 8 B per order in one float64 array
     - the moments come from one pure function on the sites they reach
       (a 1e8-site chain costs no more than a 51-site one); an evaluator
-      replaces its array whole, at least doubled, with the bits of a
-      fresh one, and one evaluator shared by threads gives serial bits
+      replaces its array whole, by exactly the orders the call needs, any
+      split of a grid into calls gives the bits of one call on a fresh
+      evaluator, and one evaluator shared by threads gives serial bits
 """
 
 from __future__ import annotations
@@ -355,24 +356,54 @@ def test_chebyshev_memory_is_its_values_plus_a_block(traced_peak):
     assert peak < values.nbytes + 600_000
 
 
+def _needed_moments(alpha, t_max):
+    return propagator._series_orders(np.array([alpha.a * t_max]))[0] + 1
+
+
 def test_chebyshev_grows_its_moments_whole():
+    # a call past the kept moments replaces them whole, by exactly the orders it needs
     spec = ChainSpec(1.3, 0.7, 60)
     times = np.linspace(0.0, 40.0, 201)
     alpha = ChebyshevAlpha(spec)
     assert alpha.signed_moments.size == 0
-    alpha(times[:10])
-    small = alpha.signed_moments.size
-    values = alpha(times)
-    size = alpha.signed_moments.size
-    assert small > 0 and size >= 2 * small
+    for reach in (times[:10], times):
+        values = alpha(reach)
+        assert alpha.signed_moments.size == _needed_moments(alpha, reach[-1])
     kept = alpha.signed_moments
     alpha(times[100:])  # within reach: the kept array serves
     assert alpha.signed_moments is kept
-    fresh = ChebyshevAlpha(spec)
-    assert np.array_equal(values, fresh(times))
-    # a first call computes exactly the orders it needs
-    assert fresh.signed_moments.size == propagator._series_orders(np.array([alpha.a * 40.0]))[0] + 1
-    assert np.array_equal(alpha.signed_moments, propagator._signed_moments(spec, alpha.a, size))
+    assert np.array_equal(values, ChebyshevAlpha(spec)(times))
+    assert np.array_equal(kept, propagator._signed_moments(spec, alpha.a, kept.size))
+
+
+def test_chebyshev_keeps_exactly_the_orders_a_small_growth_needs():
+    # one bucket further needs a few more moments than are kept: the new
+    # array holds those, not twice the kept size
+    alpha = ChebyshevAlpha(ChainSpec(1.3, 0.7, 60))
+    alpha(20.0)
+    kept = alpha.signed_moments.size
+    needed = _needed_moments(alpha, 21.0)
+    assert kept < needed < 2 * kept
+    alpha(21.0)
+    assert alpha.signed_moments.size == needed
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.lists(st.integers(0, 301), max_size=6), reach=st.floats(0.5, 80.0),
+       shuffle=st.randoms(use_true_random=False))
+def test_chebyshev_any_split_of_a_grid_gives_the_bits_of_one_call(cuts, reach, shuffle):
+    # the calls grow the moments in whatever order they come; each time's
+    # bits stay those of one call on a fresh evaluator
+    spec = ChainSpec(1.3, 0.7, 60)
+    times = np.linspace(0.0, reach, 301)
+    ends = sorted({0, times.size, *cuts})
+    parts = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    shuffle.shuffle(parts)
+    alpha, values = ChebyshevAlpha(spec), np.empty_like(times)
+    for part in parts:
+        values[part] = alpha(times[part])
+    assert np.array_equal(values, ChebyshevAlpha(spec)(times))
+    assert alpha.signed_moments.size == _needed_moments(alpha, reach)
 
 
 def test_chebyshev_moments_run_on_the_sites_they_reach():
@@ -420,7 +451,7 @@ def test_chebyshev_moments_kept_in_a_float64_array():
         alpha(2e3)
         first = len(alpha.signed_moments)
         one_call = tracemalloc.get_traced_memory()[0] - before
-        alpha(3e3)  # the array doubles
+        alpha(3e3)  # the array is replaced by one of the orders 3e3 needs
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -428,7 +459,7 @@ def test_chebyshev_moments_kept_in_a_float64_array():
     assert first > 2000 and orders > 1.4 * first
     assert alpha.signed_moments.dtype == np.float64
     assert one_call < 10 * first  # 8 B per order, plus the order searches' cache
-    assert grown < 16 * orders  # at most half of a doubled array stands empty
+    assert grown < 10 * orders  # 8 B per order, the first array freed
     assert alpha(3e3) == pytest.approx(math.cos(3e3), abs=1e-12)  # cos(K0 t) on 2 sites
 
 
