@@ -46,6 +46,11 @@ BESSEL_TAIL_TOL = 2.0**-54  # half an ulp of 1: the dropped Bessel terms sit bel
 ORDER_BUCKETS = 16  # series orders are searched at x rounded up to 1/16 of an octave
 RESCALE_ABOVE = 2.0**600
 RESCALE_BY = 2.0**-600
+# _miller_sums checks its values when they may have grown by 2**GROWTH_BUDGET since the
+# last check, from RESCALE_ABOVE to 2**1010, and at least every 2**11 orders, so that
+# its sums of them stay below 2**1023
+GROWTH_BUDGET = 1010.0 - math.log2(RESCALE_ABOVE)
+LEAST_CHARGE = GROWTH_BUDGET / 2.0**11
 DEFAULT_TRUNCATION_TOL = 1e-10
 LIGHT_CONE_SPEED_FACTOR = 2.0
 LIGHT_CONE_BUFFER = 50
@@ -166,33 +171,48 @@ def _signed_moments(spec: ChainSpec, a: float, count: int) -> np.ndarray:
     vec, prev, spare = np.zeros(n), np.zeros(n), np.zeros(n)
     vec[0] = 1.0
     prev[1] = spec.k0 / a
+    # one neighbour's products in product[1:]; product[0] = -0.0 makes
+    # product - prev give -prev at site 0, signed zeros included
+    product = np.empty(n)
+    product[0] = -0.0
     moments = np.empty(count)
     for m in range(count):
-        size = min(m + 1, n)  # vec = T_m(h/a) e0 lives on sites 0..m
+        size = m + 1 if m < n else n  # vec = T_m(h/a) e0 lives on sites 0..m
         head = vec[:size]
         mu = 2.0 * float(head @ head) - 1.0
         if not abs(mu) <= 1.0 + MOMENT_TOL or (m == 0 and mu != 1.0):
             raise EigensolverError(f"Chebyshev moment mu_{2 * m} = {mu!r} for {spec}")
         moments[m] = -mu if m % 2 else mu
-        # T_m+1 e0 = 2 (h/a) T_m e0 - T_m-1 e0 on sites 0..m+1; spare
-        # held T_m-2 e0, so it is zero beyond them
-        grown = min(size + 1, n)
-        twice = twice_off[: grown - 1]
-        np.negative(prev[:grown], out=spare[:grown])
-        spare[1:grown] += twice * vec[: grown - 1]
-        spare[: grown - 1] += twice * vec[1:grown]
+        # T_m+1 e0 = 2 (h/a) T_m e0 - T_m-1 e0 on sites 0..m+1, each site
+        # summed as (-prev + lower neighbour) + upper neighbour
+        grown = size + 1 if size < n else n
+        twice, products = twice_off[: grown - 1], product[1:grown]
+        np.multiply(twice, vec[: grown - 1], products)
+        np.subtract(product[:grown], prev[:grown], spare[:grown])
+        np.multiply(twice, vec[1:grown], products)
+        np.add(spare[: grown - 1], products, spare[: grown - 1])
         vec, prev, spare = spare, vec, prev
     return moments
 
 
 def _miller_sums(xs: np.ndarray, orders: np.ndarray, coefficients) -> np.ndarray:
-    """J0(x) + 2 sum_{m=1}^{order} c_m J_2m(x) at each x > 0 of an ascending xs.
+    """J0(x) + 2 sum_{m=1}^{order} c_m J_2m(x) at each x > 0 of an ascending xs, |c_m| <= 1.
 
     Miller's backward recurrence J_n-1 = (2n/x) J_n - J_n+1 from
     J_2order+2 = 0, J_2order+1 = 1, normalised at the end by
     J0 + 2 sum_m J_2m = 1; a power-of-two rescaling keeps the growing
-    values below overflow.  The rescaling is exact and is checked every
-    other order, between which values grow by at most (2n/x + 1)^2.
+    values below overflow.
+
+    A step of order m multiplies the largest |J_2m+1|, |J_2m| of the rows by
+    at most (1 + (2m+1) 2/x)^2, largest at the smallest x of the rows.  Each
+    step charges 2 log2 of that factor, and at least LEAST_CHARGE, against
+    GROWTH_BUDGET; only when the budget would run out are the rows checked,
+    and each row with a value above RESCALE_ABOVE has all four of its
+    values multiplied by RESCALE_BY.  So the values stay at or below 2**1010
+    and their sums below 2**1023.  Which order a row is rescaled at does not
+    change its bits: an exact power of two commutes with every later
+    product, sum and difference, barring subnormals, and cancels in the
+    final ratio.
 
     orders are nondecreasing and >= 1.  A row joins the loop when m
     reaches its order; only then are the views re-sliced.  A row's float
@@ -200,30 +220,36 @@ def _miller_sums(xs: np.ndarray, orders: np.ndarray, coefficients) -> np.ndarray
     alone or in a grid.
     """
     top = int(orders[-1])
-    joins = np.searchsorted(orders, np.arange(top + 1))  # first row with order >= m
+    joins = np.searchsorted(orders, np.arange(top + 1)).tolist()  # first row with order >= m
     inv = 2.0 / xs
     odd, even, weighted, plain, scratch = (np.zeros(xs.size) for _ in range(5))
-    joined = xs.size
+    joined, spent = xs.size, 0.0
     for m in range(top, 0, -1):
         lo = joins[m]
         if lo < joined:
             odd[lo:joined] = 1.0
             joined = lo
             o, e, w, p, s, i = (v[lo:] for v in (odd, even, weighted, plain, scratch, inv))
-        np.multiply(i, 2 * m + 1, out=s)
-        s *= o
-        np.subtract(s, e, out=e)
-        np.multiply(e, coefficients[m], out=s)
-        w += s
-        p += e
-        np.multiply(i, 2 * m, out=s)
-        s *= e
-        np.subtract(s, o, out=o)
-        np.abs(o, out=s)
-        if s.max() > RESCALE_ABOVE:
-            big = s > RESCALE_ABOVE
+            inv_max = float(i[0])
+        odd_factor = 2.0 * m + 1.0
+        charge = max(2.0 * math.log2(1.0 + odd_factor * inv_max), LEAST_CHARGE)
+        spent += charge
+        if spent > GROWTH_BUDGET:
+            big = np.zeros(s.size, dtype=bool)
+            for v in (o, e, w, p):
+                big |= np.abs(v) > RESCALE_ABOVE
             for v in (o, e, w, p):
                 v[big] *= RESCALE_BY
+            spent = charge
+        np.multiply(i, odd_factor, s)
+        s *= o
+        np.subtract(s, e, e)
+        np.multiply(e, coefficients[m], s)
+        w += s
+        p += e
+        np.multiply(i, 2.0 * m, s)
+        s *= e
+        np.subtract(s, o, o)
     j0 = inv * odd - even
     return (j0 + 2.0 * weighted) / (j0 + 2.0 * plain)
 

@@ -44,7 +44,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinwire import (
@@ -291,7 +291,7 @@ def test_chebyshev_scalar_equals_array(k0, k, n, log_reach, size, seed):
     assert isinstance(alpha(float(times[0])), float)
 
 
-def test_chebyshev_rescales_at_long_times():
+def test_chebyshev_rescales_at_long_times(monkeypatch):
     # past a*t of about 2500 the backward recurrence needs its rescaling;
     # a short chain keeps the reference eigensolve cheap
     spec = ChainSpec(0.7, 1.0, 300)
@@ -302,6 +302,10 @@ def test_chebyshev_rescales_at_long_times():
     assert np.array_equal(values, [alpha(float(t)) for t in times])
     tol = 64.0 * np.finfo(float).eps * (1.0 + alpha.a * 1500.0)
     assert np.max(np.abs(values - SpectralAlpha(spec)(times))) <= tol
+    # the same call overflows when a rescaling leaves the values as they are
+    monkeypatch.setattr(propagator, "RESCALE_BY", 1.0)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        ChebyshevAlpha(spec)(times)
 
 
 def test_chebyshev_edges():
@@ -545,6 +549,124 @@ def test_miller_sum_jacobi_anger(x):
 def _one_row(x, order, coefficients):
     """The Miller sum at one x, as a one-row call of the array loop."""
     return float(propagator._miller_sums(np.array([x]), np.array([order]), coefficients)[0])
+
+
+def _miller_sums_checked_every_order(xs, orders, coefficients):
+    """The Miller loop that checks every order for values above RESCALE_ABOVE,
+    with temporaries: the reference loop."""
+    top = int(orders[-1])
+    joins = np.searchsorted(orders, np.arange(top + 1))
+    inv = 2.0 / xs
+    odd, even, weighted, plain, scratch = (np.zeros(xs.size) for _ in range(5))
+    joined = xs.size
+    for m in range(top, 0, -1):
+        lo = joins[m]
+        if lo < joined:
+            odd[lo:joined] = 1.0
+            joined = lo
+            o, e, w, p, s, i = (v[lo:] for v in (odd, even, weighted, plain, scratch, inv))
+        np.multiply(i, 2 * m + 1, out=s)
+        s *= o
+        np.subtract(s, e, out=e)
+        np.multiply(e, coefficients[m], out=s)
+        w += s
+        p += e
+        np.multiply(i, 2 * m, out=s)
+        s *= e
+        np.subtract(s, o, out=o)
+        np.abs(o, out=s)
+        if s.max() > propagator.RESCALE_ABOVE:
+            big = s > propagator.RESCALE_ABOVE
+            for v in (o, e, w, p):
+                v[big] *= propagator.RESCALE_BY
+    j0 = inv * odd - even
+    return (j0 + 2.0 * weighted) / (j0 + 2.0 * plain)
+
+
+def _signed_moments_with_temporaries(spec, a, count):
+    """The moment recurrence as negation, then two added neighbour products:
+    the reference loop."""
+    n = min(spec.n_sites, count + 1)
+    twice_off = propagator._off_diagonal(ChainSpec(spec.k0, spec.k, n)) * (2.0 / a)
+    vec, prev, spare = np.zeros(n), np.zeros(n), np.zeros(n)
+    vec[0] = 1.0
+    prev[1] = spec.k0 / a
+    moments = np.empty(count)
+    for m in range(count):
+        size = min(m + 1, n)
+        head = vec[:size]
+        mu = 2.0 * float(head @ head) - 1.0
+        if not abs(mu) <= 1.0 + propagator.MOMENT_TOL or (m == 0 and mu != 1.0):
+            raise propagator.EigensolverError(f"Chebyshev moment mu_{2 * m} = {mu!r} for {spec}")
+        moments[m] = -mu if m % 2 else mu
+        grown = min(size + 1, n)
+        twice = twice_off[: grown - 1]
+        np.negative(prev[:grown], out=spare[:grown])
+        spare[1:grown] += twice * vec[: grown - 1]
+        spare[: grown - 1] += twice * vec[1:grown]
+        vec, prev, spare = spare, vec, prev
+    return moments
+
+
+def _assert_same_miller_bits(xs, orders, seed):
+    coefficients = np.random.default_rng(seed).uniform(-1.0, 1.0, int(orders[-1]) + 1)
+    got = propagator._miller_sums(xs, orders, coefficients)
+    assert got.tobytes() == _miller_sums_checked_every_order(xs, orders, coefficients).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@example(ends=(-6.0, 4.0), size=CHUNK, seed=1)
+@given(ends=st.tuples(st.floats(-6.0, 4.0), st.floats(-6.0, 4.0)), size=st.integers(1, CHUNK),
+       seed=st.integers(0, 2**32 - 1))
+def test_miller_sums_are_the_loop_checked_every_order(ends, size, seed):
+    # a grid of 1..CHUNK rows at their own series orders, from one to ~7000 orders
+    rng = np.random.default_rng(seed)
+    xs = np.sort(10.0 ** rng.uniform(min(ends), max(ends), size))
+    orders = propagator._series_orders(xs)
+    keep = orders > 0
+    if keep.any():
+        _assert_same_miller_bits(xs[keep], orders[keep], seed)
+
+
+@settings(max_examples=40, deadline=None)
+@example(log_x=-3.0, size=1, extra=2000, seed=0)
+@given(log_x=st.floats(-6.0, 0.0), size=st.integers(1, 300), extra=st.integers(0, 3000),
+       seed=st.integers(0, 2**32 - 1))
+def test_miller_sums_far_past_the_series_order(log_x, size, extra, seed):
+    # orders far above the bucket order at small x grow the values by up to
+    # ~2**100 per order, so one call rescales many times between its checks
+    rng = np.random.default_rng(seed)
+    xs = np.sort(10.0**log_x * rng.uniform(0.5, 1.0, size))
+    orders = np.maximum.accumulate(propagator._series_orders(xs) + rng.integers(0, extra + 1, size))
+    orders[-1] = max(orders[-1], extra, 1)
+    _assert_same_miller_bits(xs, orders, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k0=_log_uniform_coupling(), k=_log_uniform_coupling(), n=st.integers(2, 300),
+       count=st.integers(1, 400))
+def test_signed_moments_are_the_loop_with_temporaries(k0, k, n, count):
+    # n both above and below count + 1: the support saturates or it does not
+    spec = ChainSpec(k0, k, n)
+    a = max(k0 + k, 2.0 * k)
+    if a > 0:
+        got = propagator._signed_moments(spec, a, count)
+        assert got.tobytes() == _signed_moments_with_temporaries(spec, a, count).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k0=st.floats(0.1, 10.0), k=st.floats(0.1, 10.0), n=st.integers(2, 60),
+       shrink=st.floats(0.3, 0.95))
+def test_signed_moments_raise_at_the_first_bad_moment(k0, k, n, shrink):
+    # an a below ||h||: the same EigensolverError, at the same moment, as the reference
+    spec = ChainSpec(k0, k, n)
+    a = shrink * float(np.max(np.abs(np.linalg.eigvalsh(build_generator(spec)))))
+    messages = []
+    for moments in (propagator._signed_moments, _signed_moments_with_temporaries):
+        with pytest.raises(propagator.EigensolverError) as raised:
+            moments(spec, a, 400)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def test_choose_chain_length_wire_off():
