@@ -51,6 +51,7 @@ RESCALE_BY = 2.0**-600
 # its sums of them stay below 2**1023
 GROWTH_BUDGET = 1010.0 - math.log2(RESCALE_ABOVE)
 LEAST_CHARGE = GROWTH_BUDGET / 2.0**11
+SUPPORT_STEP = 64  # _signed_moments widens the sites its update runs on by this many at a time
 DEFAULT_TRUNCATION_TOL = 1e-10
 LIGHT_CONE_SPEED_FACTOR = 2.0
 LIGHT_CONE_BUFFER = 50
@@ -161,8 +162,13 @@ def _signed_moments(spec: ChainSpec, a: float, count: int) -> np.ndarray:
 
     T_m(h/a) e0 lives on sites 0..m, so the three-term recurrence runs on
     a support that grows by one site per step, on the first
-    min(N, count + 1) sites only: memory is O(min(N, count)).  A moment
-    outside [-1, 1] (an a below ||h||) is an EigensolverError.
+    min(N, count + 1) sites only: memory is O(min(N, count)).  The update
+    runs on up to SUPPORT_STEP sites past the support, so that its views
+    are re-sliced once per SUPPORT_STEP orders.  Every value there is a
+    zero; adding one leaves a nonzero value as it is and a zero a zero, of
+    either sign, which no square of the norm sees, so the moments keep
+    their bits.  A moment outside [-1, 1] (an a below ||h||) is an
+    EigensolverError.
     """
     n = min(spec.n_sites, count + 1)
     twice_off = _off_diagonal(ChainSpec(spec.k0, spec.k, n)) * (2.0 / a)  # 2 h / a on those sites
@@ -176,6 +182,7 @@ def _signed_moments(spec: ChainSpec, a: float, count: int) -> np.ndarray:
     product = np.empty(n)
     product[0] = -0.0
     moments = np.empty(count)
+    width = 0  # the update runs on sites 0..width-1
     for m in range(count):
         size = m + 1 if m < n else n  # vec = T_m(h/a) e0 lives on sites 0..m
         head = vec[:size]
@@ -184,14 +191,19 @@ def _signed_moments(spec: ChainSpec, a: float, count: int) -> np.ndarray:
             raise EigensolverError(f"Chebyshev moment mu_{2 * m} = {mu!r} for {spec}")
         moments[m] = -mu if m % 2 else mu
         # T_m+1 e0 = 2 (h/a) T_m e0 - T_m-1 e0 on sites 0..m+1, each site
-        # summed as (-prev + lower neighbour) + upper neighbour
+        # summed as (-prev + lower neighbour) + upper neighbour, on the
+        # first width sites
         grown = size + 1 if size < n else n
-        twice, products = twice_off[: grown - 1], product[1:grown]
-        np.multiply(twice, vec[: grown - 1], products)
-        np.subtract(product[:grown], prev[:grown], spare[:grown])
-        np.multiply(twice, vec[1:grown], products)
-        np.add(spare[: grown - 1], products, spare[: grown - 1])
+        if grown > width:
+            width = min(grown + SUPPORT_STEP, n)
+            twice, products, whole = twice_off[: width - 1], product[1:width], product[:width]
+            v, p, s = ((b[:width], b[: width - 1], b[1:width]) for b in (vec, prev, spare))
+        np.multiply(twice, v[1], products)
+        np.subtract(whole, p[0], s[0])
+        np.multiply(twice, v[2], products)
+        np.add(s[1], products, s[1])
         vec, prev, spare = spare, vec, prev
+        v, p, s = s, v, p
     return moments
 
 

@@ -25,6 +25,12 @@ Claims checked here:
       than its values plus one block; its Miller Bessel sums match
       scipy.special.jv; the CLI runs no eigensolve and builds the
       moments once per chain, kept at 8 B per order in one float64 array
+    - the Miller loop, which checks for overflow by a growth budget, and
+      the moment loop, whose update runs past the support, give the bits
+      of the loops kept here as references, which check every order, run
+      on the support alone and build temporaries, also past the series
+      order, and raise the same error at the same bad moment; long times
+      overflow without the rescaling
     - the moments come from one pure function on the sites they reach
       (a 1e8-site chain costs no more than a 51-site one); an evaluator
       replaces its array whole, by exactly the orders the call needs, any
@@ -584,8 +590,8 @@ def _miller_sums_checked_every_order(xs, orders, coefficients):
 
 
 def _signed_moments_with_temporaries(spec, a, count):
-    """The moment recurrence as negation, then two added neighbour products:
-    the reference loop."""
+    """The moment recurrence on the support alone, as negation, then two
+    added neighbour products: the reference loop."""
     n = min(spec.n_sites, count + 1)
     twice_off = propagator._off_diagonal(ChainSpec(spec.k0, spec.k, n)) * (2.0 / a)
     vec, prev, spare = np.zeros(n), np.zeros(n), np.zeros(n)

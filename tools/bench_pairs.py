@@ -1,6 +1,6 @@
 """Alternating base/head pairs of the benchmark, and one verdict per workload and metric.
 
-    python tools/bench_pairs.py --out BENCH_35.json --pairs 10 --seconds 10
+    python tools/bench_pairs.py --out BENCH_<pr>.json --pairs 10 --seconds 10
 
 Exports two commits (--base, default HEAD~1, and --head, default HEAD)
 with ``git archive`` into ``.perfbench_out/pairs/``, and runs each tree's
@@ -113,7 +113,7 @@ def written(tree: Path, workload: str) -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", required=True, help="the JSON file to write, such as BENCH_35.json")
+    parser.add_argument("--out", required=True, help="the JSON file to write, such as BENCH_<pr>.json")
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--head", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
